@@ -6,8 +6,9 @@ be supplied through environment variables with the HJLAB_ prefix
 (HJLAB_CONFIG, HJLAB_OUT_DIR, HJLAB_PROFILE, HJLAB_THREADS); explicit flags
 win over the environment, which wins over the config file.
 
-Exit codes: 0 all hard assertions pass, 1 assertion failure, 2 configuration
-error.
+Exit codes: 0 all hard assertions pass, 1 assertion failure or failed run
+(a domain that misses the potential, a trajectory that touches its window),
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .core import ModelParams
 from .experiments import ExperimentConfig, run_experiment
 from .laxoleinik import (gridfunction_from_csv, gridfunction_to_csv, kernel,
                          kernel_to_csv, minplus_apply)
-from .minimizer import (GridSpec, backtrack, refine, solve_dp,
-                        velocity_bound_upper)
+from .minimizer import (DomainError, GridSpec, WindowTouchError, backtrack,
+                        refine, solve_dp, velocity_bound_upper)
 from .potentials import potential_from_spec
 from .reports import canonical_json, emit
 
@@ -140,10 +141,16 @@ def _cmd_minimize(args) -> int:
     if T <= 0:
         raise ConfigError("need t2 > t1")
     v_max = args.v_max if args.v_max else 1.5 * velocity_bound_upper(max(T, 1.01), p)
+    lo0 = None
+    if U.support_hint is not None:
+        lo0 = min(U.support_hint(args.t1)[0], U.support_hint(args.t2)[0])
     if args.x_min is not None and args.x_max is not None:
         x_lo, x_hi = args.x_min, args.x_max
-    elif U.support_hint is not None:
-        lo0 = min(U.support_hint(args.t1)[0], U.support_hint(args.t2)[0])
+        if lo0 is not None and x_lo > lo0:
+            # the minimizer follows the potential edge; cut off, it stays static
+            raise DomainError(f"--x-min {x_lo} lies above the potential edge "
+                              f"{lo0:.6g} on [t1, t2]")
+    elif lo0 is not None:
         x_lo, x_hi = lo0 - 8.0, max(args.x, U.support_hint(args.t2)[1]) + 4.0
     else:
         x_lo, x_hi = args.x - 20.0, args.x + 20.0
@@ -319,6 +326,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except (DomainError, WindowTouchError) as e:
+        print(f"run failed: {e}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -245,6 +245,41 @@ def test_cli_exit_codes(tmp_path):
                      "--out-dir", str(tmp_path)]) == 2
 
 
+def test_cli_failed_runs_exit_1(tmp_path, capsys):
+    # WindowTouchError: an early band clipped to +-0.05 around the edge traps
+    # the minimizer on every margin retry
+    cfgfile = tmp_path / "tight.json"
+    cfgfile.write_text(json.dumps({"margin": 0.05, "detach_cap_factor": 0.1}))
+    assert cli_main(["scaling", "--horizons", "60", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "window edge" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_minimize_domain_above_edge_fails(tmp_path, capsys, monkeypatch):
+    # the T = 100 edge starts near -63; a domain starting at -3 would return
+    # the static path x = 0 if the sweep ran
+    import hjlab.cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("solve_dp must not run")
+
+    pot = tmp_path / "p.json"
+    cli_main(["potential", "--kind", "accelerating", "--beta", "2.0",
+              "--C", "1.0", "--K", "0.6324555320336759", "--t1", "0",
+              "--t2", "100", "--y", "0", "--out", str(pot)])
+    monkeypatch.setattr(hjlab.cli, "solve_dp", no_sweep)
+    out = tmp_path / "traj.csv"
+    assert cli_main(["minimize", "--potential", str(pot), "--x", "0.0",
+                     "--t1", "0", "--t2", "100", "--dx", "0.05", "--dt", "0.1",
+                     "--x-min", "-3", "--x-max", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "--x-min -3.0" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_check_lemmas_and_env_override(tmp_path, monkeypatch):
     out_env = tmp_path / "envout"
     monkeypatch.setenv("HJLAB_OUT_DIR", str(out_env))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjlab.core import (ModelParams, PotentialField, Trajectory, action,
                         constant_potential, el_residual, jensen_lower_bound,
@@ -9,7 +11,8 @@ from hjlab.core import (ModelParams, PotentialField, Trajectory, action,
 from hjlab.minimizer import (DomainError, GridSpec, WindowTouchError,
                              backtrack, comoving_window, enumerate_paths,
                              lemma_wT_margin, path_cost, progression_margins,
-                             refine, solve_dp, terminal_velocity,
+                             refine, solve_dp, solve_dp_batched,
+                             terminal_velocity,
                              velocity_bound_lower, velocity_bound_upper)
 from hjlab.potentials import PaceCurve, accelerating_potential
 
@@ -95,6 +98,55 @@ def test_three_point_hand_instance():
     tab = solve_dp(U, g, None, P2)
     ev_vals, ev_paths = enumerate_paths(U, g, None, P2)
     assert np.array_equal(tab.final_values, ev_vals)
+
+
+@st.composite
+def toy_batched_instances(draw):
+    """Toy grid, tabulated kick potential and S0 rows (Dirac, finite or
+    partly +inf); the stencil ranges up to three nodes beyond the grid."""
+    beta = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    n_x = draw(st.integers(2, 6))
+    n_steps = draw(st.integers(1, 4))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.4, 1.0]))
+    m = draw(st.integers(1, n_x + 3))
+    g = GridSpec(x_min=0.0, x_max=0.5 * (n_x - 1), dx=0.5, t1=0.0,
+                 t2=dt * n_steps, dt=dt, v_max=(m + 0.5) * 0.5 / dt)
+    vals = draw(arrays(np.float64, (n_steps + 2, n_x), elements=st.floats(0, 1)))
+
+    def ev(x, t):
+        xi = np.clip(np.round((np.asarray(x) - g.x_min) / g.dx).astype(int), 0, n_x - 1)
+        ti = np.clip(np.round((np.asarray(t) - g.t1) / g.dt_eff), 0, n_steps + 1).astype(int)
+        return vals[ti, xi]
+
+    U = PotentialField(eval_fn=ev, grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+                       bound=1.0)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["dirac", "finite", "partial"]))
+        if kind == "dirac":
+            row = np.full(n_x, np.inf)
+            row[draw(st.integers(0, n_x - 1))] = 0.0
+        else:
+            row = draw(arrays(np.float64, n_x, elements=st.floats(-2, 2)))
+            if kind == "partial":
+                keep = draw(st.integers(0, n_x - 1))
+                mask = draw(arrays(np.bool_, n_x))
+                mask[keep] = False
+                row[mask] = np.inf
+        rows.append(row)
+    return U, g, ModelParams(beta=beta, C=1.0), np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(toy_batched_instances())
+def test_batched_sweep_equals_dp_and_enumeration(instance):
+    U, g, p, S0 = instance
+    batched = solve_dp_batched(U, g, S0, p)
+    for row, got in zip(S0, batched):
+        for want in (solve_dp(U, g, row, p).final_values,
+                     enumerate_paths(U, g, row, p)[0]):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_backtrack_action_consistency_identity():
