@@ -144,16 +144,21 @@ def _cmd_minimize(args) -> int:
     lo0 = None
     if U.support_hint is not None:
         lo0 = min(U.support_hint(args.t1)[0], U.support_hint(args.t2)[0])
-    if args.x_min is not None and args.x_max is not None:
-        x_lo, x_hi = args.x_min, args.x_max
+    if lo0 is not None:
+        x_lo, x_hi = lo0 - 8.0, max(args.x, U.support_hint(args.t2)[1]) + 4.0
+    else:
+        x_lo, x_hi = args.x - 20.0, args.x + 20.0
+    # an explicit bound replaces its default; the other keeps the default
+    if args.x_min is not None:
+        x_lo = args.x_min
         if lo0 is not None and x_lo > lo0:
             # the minimizer follows the potential edge; cut off, it stays static
             raise DomainError(f"--x-min {x_lo} lies above the potential edge "
                               f"{lo0:.6g} on [t1, t2]")
-    elif lo0 is not None:
-        x_lo, x_hi = lo0 - 8.0, max(args.x, U.support_hint(args.t2)[1]) + 4.0
-    else:
-        x_lo, x_hi = args.x - 20.0, args.x + 20.0
+    if args.x_max is not None:
+        x_hi = args.x_max
+    if not x_lo <= args.x <= x_hi:
+        raise ConfigError(f"--x {args.x} lies outside the domain [{x_lo:.6g}, {x_hi:.6g}]")
     grid = GridSpec(x_min=x_lo, x_max=x_hi, dx=args.dx, t1=args.t1,
                     t2=args.t2, dt=args.dt, v_max=v_max)
     table = solve_dp(U, grid, None, p, keep_history=False)

@@ -9,6 +9,7 @@ space (d = 1); the moving-potential construction only needs one coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "ModelParams",
     "Trajectory",
     "PotentialField",
+    "PathAction",
     "CertificationResult",
     "lagrangian",
     "hamiltonian",
@@ -110,6 +112,7 @@ class PotentialField:
     kind: str = "custom"
     spec: dict = field(default_factory=dict)
     time_slice_fn: Optional[Callable] = None
+    grad_slice_fn: Optional[Callable] = None
 
     def value(self, x, t):
         return self.eval_fn(x, t)
@@ -129,6 +132,14 @@ class PotentialField:
             return self.time_slice_fn(ts)
         ts = np.asarray(ts, dtype=float)
         return lambda x: self.eval_fn(x, ts)
+
+    def grad_slice(self, ts) -> Callable:
+        """Gradient counterpart of :meth:`time_slice`: f(x) = grad U(x, ts),
+        hoisted by ``grad_slice_fn`` when the constructor supplies one."""
+        if self.grad_slice_fn is not None:
+            return self.grad_slice_fn(ts)
+        ts = np.asarray(ts, dtype=float)
+        return lambda x: self.grad_fn(x, ts)
 
     def __call__(self, x, t):
         return self.eval_fn(x, t)
@@ -180,28 +191,85 @@ def legendre_inv(momentum, p: ModelParams):
     return out if out.ndim else float(out)
 
 
-def action(traj: Trajectory, U: PotentialField, p: ModelParams,
-           quad_points_per_segment: int = 4) -> float:
-    """Action of a piecewise-linear path.
+class PathAction:
+    """Action of piecewise-linear paths on one fixed time grid.
 
     Kinetic part is exact per segment: |dx|^beta / (beta |dt|^(beta-1)).
-    The potential integral uses midpoint quadrature with the requested number
-    of points per segment, evaluated along the linear interpolant.
+    The potential integral uses midpoint quadrature with ``quad_points``
+    points per segment, evaluated along the linear interpolant.  All
+    time-only work (quadrature times, kinetic denominators, weights, and the
+    potential's time slices) is done once per grid, not once per evaluation.
     """
-    if quad_points_per_segment < 1:
-        raise ValueError("quad_points_per_segment must be >= 1")
-    t, x = traj.times, traj.positions
-    dt = np.diff(t)
-    dx = np.diff(x)
-    kinetic = np.sum(np.abs(dx) ** p.beta / (p.beta * dt ** (p.beta - 1.0)))
 
-    q = quad_points_per_segment
-    # midpoints (k + 1/2)/q across each segment, shape (n_seg, q)
-    frac = (np.arange(q) + 0.5) / q
-    ts = t[:-1, None] + dt[:, None] * frac[None, :]
-    xs = x[:-1, None] + dx[:, None] * frac[None, :]
-    pot = np.sum(U.value(xs, ts) * (dt[:, None] / q))
-    return float(kinetic - pot)
+    def __init__(self, times, U: PotentialField, p: ModelParams,
+                 quad_points: int = 4):
+        if quad_points < 1:
+            raise ValueError("need at least one quadrature point per segment")
+        t = np.asarray(times, dtype=float)
+        q = quad_points
+        self.U, self.p, self.q = U, p, q
+        self.dt = np.diff(t)
+        # midpoints (k + 1/2)/q across each segment, shape (n_seg, q)
+        self.frac = (np.arange(q) + 0.5) / q
+        self.seg_times = t[:-1, None] + self.dt[:, None] * self.frac[None, :]
+        self.kin_den = p.beta * self.dt ** (p.beta - 1.0)
+        self.weights = self.dt[:, None] / q
+        self._value = U.time_slice(self.seg_times)
+
+    @cached_property
+    def _grad(self):
+        # quadrature weight dt/q times d seg_x/d x_i = 1 - frac, d seg_x/d x_{i+1} = frac
+        w = (self.dt / self.q)[:, None]
+        return self.U.grad_slice(self.seg_times), w * (1.0 - self.frac), w * self.frac
+
+    def _points(self, x):
+        dx = np.diff(x)
+        return dx, x[:-1, None] + dx[:, None] * self.frac[None, :]
+
+    def action(self, x) -> float:
+        dx, xs = self._points(x)
+        kinetic = np.sum(np.abs(dx) ** self.p.beta / self.kin_den)
+        pot = np.sum(self._value(xs) * self.weights)
+        return float(kinetic - pot)
+
+    def grad(self, x) -> np.ndarray:
+        """dA/dx_i at every node, endpoints included; the kinetic part is the
+        momentum jump :func:`legendre` (v_left) - legendre(v_right)."""
+        grad_slice, w_right, w_left = self._grad
+        dx, xs = self._points(x)
+        gU = np.asarray(grad_slice(xs), dtype=float)
+        mom = legendre(dx / self.dt, self.p)
+        g = np.zeros(len(x))
+        g[1:] += mom
+        g[:-1] -= mom
+        g[:-1] -= np.sum(gU * w_right, axis=1)
+        g[1:] -= np.sum(gU * w_left, axis=1)
+        return g
+
+    def local(self, I) -> Callable:
+        """Evaluator f(x, xi): action of the two segments around interior
+        nodes I of path x, with those nodes moved to xi (one row per node)."""
+        ts, q, frac, beta = self.seg_times, self.q, self.frac, self.p.beta
+        left, right = self.U.time_slice(ts[I - 1]), self.U.time_slice(ts[I])
+        dtl, dtr = self.dt[I - 1], self.dt[I]
+        kl, kr = self.kin_den[I - 1], self.kin_den[I]
+
+        def f(x, xi):
+            a, b = x[I - 1], x[I + 1]
+            kin = np.abs(xi - a) ** beta / kl + np.abs(b - xi) ** beta / kr
+            xl = a[:, None] + (xi - a)[:, None] * frac[None, :]
+            xr = xi[:, None] + (b - xi)[:, None] * frac[None, :]
+            pot = (np.sum(left(xl), axis=1) * dtl / q
+                   + np.sum(right(xr), axis=1) * dtr / q)
+            return kin - pot
+
+        return f
+
+
+def action(traj: Trajectory, U: PotentialField, p: ModelParams,
+           quad_points_per_segment: int = 4) -> float:
+    """Action of a piecewise-linear path (see :class:`PathAction`)."""
+    return PathAction(traj.times, U, p, quad_points_per_segment).action(traj.positions)
 
 
 def discrete_action(points: Sequence[float], kicks: Sequence[Callable], p: ModelParams) -> float:

@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.profile not in ("ci", "large"):
             raise ValueError("profile must be 'ci' or 'large'")
+        if not self.margin > 0:
+            # the window's lower edge would sit on the potential edge and cut
+            # the bump off: every minimizer stays static (v = 0)
+            raise ValueError(f"margin must be > 0, got {self.margin}")
         if self.horizons is None:
             if self.kind == "scaling":
                 self.horizons = [50.0, 200.0, 1000.0]

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ModelParams, PotentialField, Trajectory, average_speed, action
+from .core import ModelParams, PathAction, PotentialField, Trajectory, average_speed
 from .potentials import PaceCurve
 
 __all__ = [
@@ -418,52 +418,30 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
     value function, where grid snapping would otherwise pin gamma(t1) a
     half-step off the transversal optimum).
     """
-    t = traj.times
     x = traj.positions.copy()
     n = len(x)
     if n < 3:
         return traj
-    dt = np.diff(t)
+    pa = PathAction(traj.times, U, p, quad_points)
     if bracket is None:
-        bracket = 2.0 * max(float(np.max(np.abs(np.diff(x)))), 1e-3 * float(np.max(dt)))
-    beta = p.beta
-    q = quad_points
-    frac = (np.arange(q) + 0.5) / q
+        bracket = 2.0 * max(float(np.max(np.abs(np.diff(x)))), 1e-3 * float(np.max(pa.dt)))
     gr = (math.sqrt(5.0) - 1.0) / 2.0
+    colors = [I for I in (np.arange(1, n - 1, 2), np.arange(2, n - 1, 2)) if len(I)]
+    local = [pa.local(I) for I in colors]
+    left_slice = U.time_slice(pa.seg_times[0]) if free_left else None
 
-    seg_times = t[:-1, None] + dt[:, None] * frac[None, :]   # (n-1, q)
-    colors = [np.arange(1, n - 1, 2), np.arange(2, n - 1, 2)]
-    # frozen-time evaluators for the segments left/right of each color's nodes
-    slicers = [(U.time_slice(seg_times[I - 1]), U.time_slice(seg_times[I]))
-               if len(I) else (None, None) for I in colors]
-    left_slice = U.time_slice(seg_times[0]) if free_left else None
-
-    def local_batch(I, sl, xi):
-        """Local two-segment action for nodes I at candidate positions xi."""
-        a, b = x[I - 1], x[I + 1]
-        dtl, dtr = dt[I - 1], dt[I]
-        kin = (np.abs(xi - a) ** beta / (beta * dtl ** (beta - 1.0))
-               + np.abs(b - xi) ** beta / (beta * dtr ** (beta - 1.0)))
-        xl = a[:, None] + (xi - a)[:, None] * frac[None, :]
-        xr = xi[:, None] + (b - xi)[:, None] * frac[None, :]
-        pot = (np.sum(sl[0](xl), axis=1) * dtl / q
-               + np.sum(sl[1](xr), axis=1) * dtr / q)
-        return kin - pot
-
-    total = action(traj, U, p, quad_points_per_segment=q)
+    total = pa.action(x)
     for _ in range(passes):
         improved = 0.0
-        for I, sl in zip(colors, slicers):
-            if not len(I):
-                continue
+        for I, f in zip(colors, local):
             x0 = x[I]
-            f0 = local_batch(I, sl, x0)
+            f0 = f(x, x0)
             a_ = x0 - bracket
             b_ = x0 + bracket
             c_ = b_ - gr * (b_ - a_)
             d_ = a_ + gr * (b_ - a_)
-            fc = local_batch(I, sl, c_)
-            fd = local_batch(I, sl, d_)
+            fc = f(x, c_)
+            fd = f(x, d_)
             for _ in range(golden_iters):
                 mask = fc < fd
                 old_c, old_d, old_fc, old_fd = c_, d_, fc, fd
@@ -472,7 +450,7 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
                 c_ = np.where(mask, b_ - gr * (b_ - a_), old_d)
                 d_ = np.where(mask, old_c, a_ + gr * (b_ - a_))
                 fresh = np.where(mask, c_, d_)
-                f_fresh = local_batch(I, sl, fresh)
+                f_fresh = f(x, fresh)
                 fc = np.where(mask, f_fresh, old_fd)
                 fd = np.where(mask, old_fc, f_fresh)
             x_new = np.where(fc < fd, c_, d_)
@@ -482,20 +460,22 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
                 x[I[accept]] = x_new[accept]
                 improved += float(np.sum((f0 - f_new)[accept]))
         if free_left:
-            improved += _free_left_step(x, dt, beta, q, frac, left_slice,
-                                        bracket, gr, golden_iters)
+            improved += _free_left_step(x, pa, left_slice, bracket, gr,
+                                        golden_iters)
         if improved <= rel_tol * (abs(total) + 1.0):
             break
         total -= improved
     return traj.with_positions(x)
 
 
-def _free_left_step(x, dt, beta, q, frac, left_slice, bracket, gr, iters):
+def _free_left_step(x, pa, left_slice, bracket, gr, iters):
     """Golden-section move of the free first node over its single segment."""
+    beta, dt0, q = pa.p.beta, pa.dt[0], pa.q
+
     def f(xi):
-        kin = abs(x[1] - xi) ** beta / (beta * dt[0] ** (beta - 1.0))
-        xs = xi + (x[1] - xi) * frac
-        return kin - float(np.sum(left_slice(xs))) * dt[0] / q
+        kin = abs(x[1] - xi) ** beta / (beta * dt0 ** (beta - 1.0))
+        xs = xi + (x[1] - xi) * pa.frac
+        return kin - float(np.sum(left_slice(xs))) * dt0 / q
 
     f0 = f(x[0])
     a_, b_ = x[0] - bracket, x[0] + bracket
@@ -532,39 +512,20 @@ def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams,
     alone stalls on the long-wavelength corner modes of fine grids; this
     polish converges them in O(n) work per iteration.  Terminal position
     stays pinned; with ``free_left`` the first node is a free unknown
-    (transversality), otherwise it is pinned too.
+    (transversality), otherwise it is pinned too.  The action and its
+    gradient come from one :class:`~hjlab.core.PathAction` built for the
+    path's time grid, so the potential's time-only work (pace-curve values)
+    is done once per call rather than once per line-search step.
     """
     if p.beta != 2.0:
         raise ValueError("newton_polish implements the beta = 2 stationarity")
-    t = traj.times
     x = traj.positions.copy()
     n = len(x)
     if n < 3:
         return traj
-    dt = np.diff(t)
-    q = quad_points
-    frac = (np.arange(q) + 0.5) / q
-    seg_times = t[:-1, None] + dt[:, None] * frac[None, :]
-    grad_slice = U.grad  # evaluated on (n-1, q) matrices
-
+    pa = PathAction(traj.times, U, p, quad_points)
+    dt = pa.dt
     lo = 0 if free_left else 1
-
-    def grad_action(xv):
-        seg_x = xv[:-1, None] + (xv[1:] - xv[:-1])[:, None] * frac[None, :]
-        gU = np.asarray(grad_slice(seg_x, seg_times), dtype=float)
-        v = np.diff(xv) / dt
-        # d/dx_i of sum |v|^2 dt / 2 - sum (dt/q) U(segment points)
-        g = np.zeros(n)
-        g[1:] += v
-        g[:-1] -= v
-        w_right = (dt / q)[:, None] * (1.0 - frac)[None, :]   # d seg_x / d x_i
-        w_left = (dt / q)[:, None] * frac[None, :]            # d seg_x / d x_{i+1}
-        g[:-1] -= np.sum(gU * w_right, axis=1)
-        g[1:] -= np.sum(gU * w_left, axis=1)
-        return g
-
-    def act(xv):
-        return action(traj.with_positions(xv), U, p, quad_points_per_segment=q)
 
     # kinetic tridiagonal over the free unknowns x[lo : n-1]
     m = (n - 1) - lo
@@ -582,10 +543,10 @@ def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams,
 
     from scipy.linalg import solve_banded
 
-    f_cur = act(x)
+    f_cur = pa.action(x)
     slack = 1e-13 * (abs(f_cur) + 1.0)   # rounding allowance for acceptance
     for _ in range(iters):
-        g = grad_action(x)[lo:n - 1]
+        g = pa.grad(x)[lo:n - 1]
         if np.max(np.abs(g)) < tol:
             break
         step = solve_banded((1, 1), ab, g)
@@ -594,7 +555,7 @@ def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams,
         for _ in range(30):
             x_new = x.copy()
             x_new[lo:n - 1] -= scale * step
-            f_new = act(x_new)
+            f_new = pa.action(x_new)
             if f_new <= f_cur + slack:
                 x, f_cur = x_new, min(f_new, f_cur)
                 break

@@ -210,30 +210,21 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
         raise ValueError("need K > 0 and C > 0")
     curve = PaceCurve(K=K, T=t2 - t1, beta=beta, quad_tol=quad_tol)
 
-    def _arg(x, t):
-        s = np.clip(t2 - np.asarray(t, dtype=float), 0.0, curve.T)
-        return np.asarray(x, dtype=float) - y + curve.value(s)
-
-    def eval_fn(x, t):
-        return bump(_arg(x, t), C)[0]
-
-    def grad_fn(x, t):
-        return bump(_arg(x, t), C)[1]
+    def _slice(ts, which):
+        g = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
+        return lambda x: bump(np.asarray(x, dtype=float) - y + g, C)[which]
 
     def support_hint(t):
         g = curve.value(float(np.clip(t2 - t, 0.0, curve.T)))
         return (y - g - 2.0, y - g)
 
-    def time_slice_fn(ts):
-        g_pre = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
-        return lambda x: bump(np.asarray(x, dtype=float) - y + g_pre, C)[0]
-
     return PotentialField(
-        eval_fn=eval_fn, grad_fn=grad_fn, bound=C, support_hint=support_hint,
-        kind="accelerating",
+        eval_fn=lambda x, t: _slice(t, 0)(x), grad_fn=lambda x, t: _slice(t, 1)(x),
+        bound=C, support_hint=support_hint, kind="accelerating",
         spec={"kind": "accelerating", "beta": beta, "C": C, "K": K,
               "t1": t1, "t2": t2, "y": y},
-        time_slice_fn=time_slice_fn,
+        time_slice_fn=lambda ts: _slice(ts, 0),
+        grad_slice_fn=lambda ts: _slice(ts, 1),
     )
 
 
@@ -332,42 +323,40 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
     X_prev = np.concatenate(([0.0], [st[2] for st in schedule.stages[:-1]]))
     S_final = schedule.S_final
 
-    def _arg(x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        u = -t
+    def _stage(t):
+        """Stage offset X_{n-1} and pace value g_{T_n}(-t - S_{n-1}) at t."""
+        u = -np.asarray(t, dtype=float)
         if np.any(u < -1e-9) or np.any(u >= S_final * (1 + 1e-12) + 1e-9):
             raise ValueError(f"t outside covered range (-{S_final}, 0]")
         u = np.clip(u, 0.0, S_final)
         idx = np.minimum(np.searchsorted(S, u, side="right"), len(S) - 1)
-        out = np.empty(np.broadcast(x, u).shape, dtype=float)
-        xb, ub, ib = np.broadcast_arrays(x, u, idx)
-        for n in np.unique(ib):
-            m = ib == n
-            s_local = np.clip(ub[m] - S_prev[n], 0.0, schedule.stages[n][0])
-            out[m] = xb[m] + X_prev[n] + curves[n].value(s_local)
-        return out
+        g = np.empty(u.shape)
+        for n in np.unique(idx):
+            m = idx == n
+            g[m] = curves[n].value(np.clip(u[m] - S_prev[n], 0.0, schedule.stages[n][0]))
+        return X_prev[idx], g
 
-    def eval_fn(x, t):
-        v = bump(_arg(x, t), C)[0]
-        return v if np.ndim(x) or np.ndim(t) else float(v)
+    def _slice(ts, which):
+        # x + X_{n-1} + g, in that order, as the field is defined
+        offset, g = _stage(ts)
+        return lambda x: bump(np.asarray(x, dtype=float) + offset + g, C)[which]
 
-    def grad_fn(x, t):
-        d = bump(_arg(x, t), C)[1]
-        return d if np.ndim(x) or np.ndim(t) else float(d)
+    def _field(which):
+        def fn(x, t):
+            v = _slice(t, which)(x)
+            return v if np.ndim(x) or np.ndim(t) else float(v)
+        return fn
 
     def support_hint(t):
-        a = float(_arg(0.0, t))   # arg at x = 0 gives the edge offset
+        offset, g = _stage(t)
+        a = float(offset + g)   # the argument at x = 0 gives the edge offset
         return (-a - 2.0, -a)
 
-    def time_slice_fn(ts):
-        arg0 = _arg(0.0, np.asarray(ts, dtype=float))
-        return lambda x: bump(np.asarray(x, dtype=float) + arg0, C)[0]
-
     spec = schedule.spec_dict()
-    return PotentialField(eval_fn=eval_fn, grad_fn=grad_fn, bound=C,
+    return PotentialField(eval_fn=_field(0), grad_fn=_field(1), bound=C,
                           support_hint=support_hint, kind="glued", spec=spec,
-                          time_slice_fn=time_slice_fn)
+                          time_slice_fn=lambda ts: _slice(ts, 0),
+                          grad_slice_fn=lambda ts: _slice(ts, 1))
 
 
 @dataclass(frozen=True)
@@ -427,22 +416,18 @@ def periodic_potential(profile: SpatialProfile, period: float,
         def m(t):
             return (1.0 - np.cos(2.0 * np.pi * np.asarray(t, dtype=float) / period)) / 2.0
 
-    def eval_fn(x, t):
-        return profile.value(x) * m(t)
-
-    def grad_fn(x, t):
-        return profile.deriv(x) * m(t)
-
-    def time_slice_fn(ts):
-        m_pre = m(np.asarray(ts, dtype=float))
-        return lambda x: profile.value(x) * m_pre
+    def _slice(ts, spatial):
+        m_pre = m(ts)
+        return lambda x: spatial(x) * m_pre
 
     return PotentialField(
-        eval_fn=eval_fn, grad_fn=grad_fn, bound=profile.sup_value,
-        kind="periodic",
+        eval_fn=lambda x, t: _slice(t, profile.value)(x),
+        grad_fn=lambda x, t: _slice(t, profile.deriv)(x),
+        bound=profile.sup_value, kind="periodic",
         spec={"kind": "periodic", "beta": beta, "period": period,
               "modulation": modulation, "profile": dict(profile.spec)},
-        time_slice_fn=time_slice_fn,
+        time_slice_fn=lambda ts: _slice(ts, profile.value),
+        grad_slice_fn=lambda ts: _slice(ts, profile.deriv),
     )
 
 
@@ -489,38 +474,27 @@ def random_potential(seed: int, spatial_profiles: Sequence[SpatialProfile],
     def amplitude(j: int, t):
         return np.interp(np.asarray(t, dtype=float), ts, amps[j])
 
-    def eval_fn(x, t):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros(np.broadcast(x, np.asarray(t, dtype=float)).shape)
-        for j, p in enumerate(profiles):
-            total = total + p.value(x) * (1.0 + amplitude(j, t)) / 2.0
-        return scale * total
+    def _slice(tq, deriv):
+        mods = [(1.0 + amplitude(j, tq)) / 2.0 for j in range(len(profiles))]
 
-    def grad_fn(x, t):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros(np.broadcast(x, np.asarray(t, dtype=float)).shape)
-        for j, p in enumerate(profiles):
-            total = total + p.deriv(x) * (1.0 + amplitude(j, t)) / 2.0
-        return scale * total
-
-    def time_slice_fn(tq):
-        m_pre = [(1.0 + amplitude(j, tq)) / 2.0 for j in range(len(profiles))]
         def f(x):
             x = np.asarray(x, dtype=float)
-            total = np.zeros(np.broadcast(x, m_pre[0]).shape)
-            for j, p in enumerate(profiles):
-                total = total + p.value(x) * m_pre[j]
+            total = np.zeros(np.broadcast(x, mods[0]).shape)
+            for p, m in zip(profiles, mods):
+                total = total + (p.deriv(x) if deriv else p.value(x)) * m
             return scale * total
         return f
 
     fld = PotentialField(
-        eval_fn=eval_fn, grad_fn=grad_fn, bound=C,
+        eval_fn=lambda x, t: _slice(t, False)(x),
+        grad_fn=lambda x, t: _slice(t, True)(x), bound=C,
         kind="random",
         spec={"kind": "random", "beta": beta, "C": C, "seed": int(seed),
               "correlation_time": correlation_time,
               "t_min": t_min, "t_max": t_max,
               "profiles": [dict(p.spec) for p in profiles]},
-        time_slice_fn=time_slice_fn,
+        time_slice_fn=lambda tq: _slice(tq, False),
+        grad_slice_fn=lambda tq: _slice(tq, True),
     )
     object.__setattr__(fld, "amplitude", amplitude)
     return fld

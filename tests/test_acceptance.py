@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from hjlab.core import (ModelParams, el_residual, legendre, zero_potential)
+from hjlab.core import (ModelParams, PathAction, Trajectory, el_residual, legendre,
+                        zero_potential)
 from hjlab.experiments import ExperimentConfig, run_conjecture_probe, run_scaling
 from hjlab.laxoleinik import flow_defect, kernel
 from hjlab.minimizer import (GridSpec, backtrack, enumerate_paths,
@@ -266,7 +267,8 @@ def test_criterion_10_periodic_control(periodic_report):
            f"{max(suite['liplarge_constants']):.3f}<={suite['liplarge_bound']:.3f}")
 
 
-def _action_grad_norm(tr, U):
+def _action_grad(tr, U):
+    """dA/dx_i at every node of the 4-point midpoint action (beta = 2)."""
     t, x = tr.times, tr.positions
     n, dts = len(x), np.diff(tr.times)
     q = 4
@@ -280,7 +282,33 @@ def _action_grad_norm(tr, U):
     gr[:-1] -= v
     gr[:-1] -= np.sum(gU * (dts / q)[:, None] * (1 - frac)[None, :], axis=1)
     gr[1:] -= np.sum(gU * (dts / q)[:, None] * frac[None, :], axis=1)
-    return float(np.max(np.abs(gr[:-1])))
+    return gr
+
+
+def _action_grad_norm(tr, U):
+    return float(np.max(np.abs(_action_grad(tr, U)[:-1])))
+
+
+@pytest.mark.parametrize("kind", ("accelerating", "periodic"))
+def test_path_action_grad_equals_oracle(kind):
+    # PathAction weighs gU by (dt/q)(1 - frac), the oracle by dt/q, then by
+    # (1 - frac).  With dt a power of two, dt/q is one too, both orders round
+    # once at the same exact product, and the gradients agree bit for bit;
+    # on other grids they differ by rounding only.
+    if kind == "accelerating":
+        U = accelerating_potential(0.0, 0.0, 8.0, K2, 1.0, 2.0)
+        path = lambda t: np.array([U.support_hint(tk)[1] for tk in t]) - 1.0 + 0.3 * t
+    else:
+        U = periodic_potential(cosine_profile(1.0, 1.0), 1.0)
+        path = lambda t: 1.5 * t + 0.2 * np.sin(5.0 * t)
+    for t, exact in ((np.arange(65) * 0.125, True), (np.linspace(0.0, 8.0, 201), False)):
+        tr = Trajectory(t, path(t))
+        g = PathAction(t, U, P2).grad(tr.positions)
+        oracle = _action_grad(tr, U)
+        if exact:
+            assert g.tobytes() == oracle.tobytes()
+        else:
+            assert np.max(np.abs(g - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
 
 def _polished_minimizer(U, grid, x_target, grad_tol=1e-8):

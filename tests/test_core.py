@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from hjlab.core import (ModelParams, PotentialField, Trajectory, action,
-                        average_speed, certify_potential, constant_potential,
+from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory,
+                        action, average_speed, certify_potential, constant_potential,
                         discrete_action, el_residual, hamiltonian,
                         jensen_lower_bound, lagrangian, legendre, legendre_inv,
                         zero_potential)
+from hjlab.potentials import (accelerating_potential, cosine_profile,
+                              periodic_potential)
 
 
 def test_model_params_alpha_duality():
@@ -189,3 +191,27 @@ def test_time_slice_default_path():
     Uc = constant_potential(0.3)
     f = Uc.time_slice(np.array([0.0, 1.0]))
     assert np.allclose(f(np.array([5.0, -2.0])), 0.3)
+
+
+@pytest.mark.parametrize("beta", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("kind", ("accelerating", "periodic"))
+def test_path_action_grad_matches_central_differences(kind, beta):
+    p = ModelParams(beta)
+    t = np.linspace(0.0, 4.0, 31)
+    if kind == "accelerating":
+        # ride across the moving ramp; speeds stay >= 0.5, away from the
+        # kink of |v|^beta at v = 0
+        U = accelerating_potential(0.0, 0.0, 4.0, 0.8, 1.0, beta)
+        x = np.array([U.support_hint(tk)[1] for tk in t]) - 1.0 + 0.5 * t
+    else:
+        U = periodic_potential(cosine_profile(1.0, 1.3), 1.0)
+        x = 1.5 * t + 0.2 * np.sin(5.0 * t)
+    pa = PathAction(t, U, p)
+    g = pa.grad(x)
+    h = 1e-6
+    fd = np.empty(len(x))
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = h
+        fd[i] = (pa.action(x + e) - pa.action(x - e)) / (2.0 * h)
+    assert np.max(np.abs(g - fd)) <= 1e-7 * (1.0 + np.max(np.abs(g)))

@@ -24,6 +24,9 @@ def test_config_validation():
         ExperimentConfig(kind="scaling", profile="huge")
     cfg = ExperimentConfig(kind="scaling", profile="large")
     assert cfg.horizons[-1] == 10000.0
+    for margin in (0.0, -1.0):   # the window would cut the bump off: v = 0
+        with pytest.raises(ValueError, match="margin"):
+            ExperimentConfig(kind="scaling", margin=margin)
 
 
 def test_lemma_suite_passes():
@@ -243,6 +246,9 @@ def test_cli_exit_codes(tmp_path):
     cfgfile.write_text(json.dumps({"horizons": [1.0, 2.0]}))
     assert cli_main(["check-lemmas", "--config", str(cfgfile),
                      "--out-dir", str(tmp_path)]) == 2
+    cfgfile.write_text(json.dumps({"margin": 0}))
+    assert cli_main(["scaling", "--horizons", "50", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path)]) == 2
 
 
 def test_cli_failed_runs_exit_1(tmp_path, capsys):
@@ -278,6 +284,42 @@ def test_cli_minimize_domain_above_edge_fails(tmp_path, capsys, monkeypatch):
     assert err.startswith("run failed:") and "--x-min -3.0" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_minimize_one_sided_bounds(tmp_path, capsys, monkeypatch):
+    import hjlab.cli
+
+    pot = tmp_path / "p.json"
+    cli_main(["potential", "--kind", "accelerating", "--beta", "2.0",
+              "--C", "1.0", "--K", "0.6324555320336759", "--t1", "0",
+              "--t2", "30", "--y", "0", "--out", str(pot)])
+    base = ["minimize", "--potential", str(pot), "--x", "0.0", "--t1", "0",
+            "--t2", "30", "--dx", "0.05", "--dt", "0.1", "--v-max", "9"]
+    grids = []
+
+    def recording_sweep(U, grid, *args, **kwargs):
+        grids.append(grid)
+        return solve_dp(U, grid, *args, **kwargs)
+
+    solve_dp = hjlab.cli.solve_dp
+    monkeypatch.setattr(hjlab.cli, "solve_dp", recording_sweep)
+    assert cli_main(base + ["--out", str(tmp_path / "default.csv")]) == 0
+    # --x-min alone is honoured, so the edge check sees it
+    out = tmp_path / "lo.csv"
+    assert cli_main(base + ["--x-min", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "--x-min 5.0" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+    # --x-max alone sets the grid top and keeps the default bottom
+    assert cli_main(base + ["--x-max", "1.5", "--out", str(tmp_path / "hi.csv")]) == 0
+    assert len(grids) == 2
+    assert grids[1].x_max == 1.5 and grids[1].x_min == grids[0].x_min
+    assert grids[0].x_max != 1.5
+    # a target outside the domain is a configuration error
+    assert cli_main(base[:4] + ["2.5"] + base[5:] + ["--x-max", "1.5", "--out",
+                                                    str(tmp_path / "t.csv")]) == 2
+    assert len(grids) == 2
 
 
 def test_cli_check_lemmas_and_env_override(tmp_path, monkeypatch):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hjlab.core import (ModelParams, PotentialField, Trajectory, action,
+from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory, action,
                         constant_potential, el_residual, jensen_lower_bound,
                         zero_potential)
 from hjlab.minimizer import (DomainError, GridSpec, WindowTouchError,
                              backtrack, comoving_window, enumerate_paths,
-                             lemma_wT_margin, path_cost, progression_margins,
-                             refine, solve_dp, solve_dp_batched,
+                             lemma_wT_margin, newton_polish, path_cost,
+                             progression_margins, refine, solve_dp, solve_dp_batched,
                              terminal_velocity,
                              velocity_bound_lower, velocity_bound_upper)
 from hjlab.potentials import PaceCurve, accelerating_potential
@@ -248,6 +248,21 @@ def test_refine_reduces_el_residual():
     r0 = np.max(np.abs(el_residual(tr, U, P2)))
     r1 = np.max(np.abs(el_residual(out, U, P2)))
     assert r1 <= r0
+
+
+def test_newton_polish_reaches_stationarity():
+    T = 8.0
+    U = accelerating_potential(0.0, 0.0, T, K2, P2.C, P2.beta)
+    edge = PaceCurve(K=K2, T=T, beta=2.0).value(T)
+    grid = GridSpec(-edge - 6.0, 1.0, 0.025, 0.0, T, 0.1, 6.0)
+    tr = refine(backtrack(solve_dp(U, grid, None, P2), 0.0), U, P2, passes=5,
+                free_left=True)
+    pa = PathAction(tr.times, U, P2)
+    assert np.max(np.abs(pa.grad(tr.positions)[:-1])) > 1e-3   # not yet stationary
+    out = newton_polish(tr, U, P2, iters=400, trust=0.5)
+    assert out.positions[-1] == tr.positions[-1]                # terminal node pinned
+    assert np.max(np.abs(pa.grad(out.positions)[:-1])) < 1e-8
+    assert action(out, U, P2) <= action(tr, U, P2)
 
 
 def test_terminal_velocity_uniform_and_bracket():

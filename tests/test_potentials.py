@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hjlab.core import certify_potential
+from hjlab.core import certify_potential, constant_potential, zero_potential
 from hjlab.potentials import (FEASIBLE_HORIZON_MAX, GluedSchedule, PaceCurve,
                               ScheduleOverflowError, accelerating_potential,
                               bump, cosine_profile, glued_potential,
@@ -297,3 +299,43 @@ def test_potential_spec_round_trip():
 
 def test_feasible_horizon_guard_value():
     assert FEASIBLE_HORIZON_MAX == 1e12
+
+
+def _slice_fields():
+    """(field, t_lo, t_hi) for every kind that has a time slice."""
+    gs = glued_schedule(0.25, 2.0, 0.632, 1.0, 2.0, 3, cap=30.0)
+    profiles = [cosine_profile(1.0, 0.7), cosine_profile(0.8, 1.6, 1.0)]
+    return {
+        "zero": (zero_potential(), 0.0, 5.0),
+        "constant": (constant_potential(0.4), 0.0, 5.0),
+        "accelerating": (accelerating_potential(0.5, 0.0, 30.0, 0.632, 1.0, 2.0),
+                         0.0, 30.0),
+        "glued": (glued_potential(gs), -gs.S_final, 0.0),
+        "periodic": (periodic_potential(cosine_profile(1.0, 1.3), 1.0), -3.0, 3.0),
+        "random": (random_potential(4, profiles, 2.0, -30.0, 0.0), -30.0, 0.0),
+    }
+
+
+SLICE_FIELDS = _slice_fields()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(SLICE_FIELDS)),
+       t_frac=arrays(np.float64, (40, 4), elements=st.floats(0.0, 1.0)),
+       ramp=arrays(np.float64, (40, 4), elements=st.floats(-2.5, 0.5)))
+def test_slices_equal_field_bitwise(kind, t_frac, ramp):
+    """time_slice / grad_slice reproduce value / grad bit for bit, with
+    positions placed across the bump's ramp where the field has an edge."""
+    U, t_lo, t_hi = SLICE_FIELDS[kind]
+    ts = t_lo + (t_hi - t_lo) * t_frac
+    if U.support_hint is not None:
+        edge = np.array([U.support_hint(t)[1] for t in ts.ravel()]).reshape(ts.shape)
+        xs = edge + ramp
+    else:
+        xs = 4.0 * ramp
+    for sliced, direct in ((U.time_slice(ts)(xs), U.value(xs, ts)),
+                           (U.grad_slice(ts)(xs), U.grad(xs, ts))):
+        sliced = np.asarray(sliced, dtype=np.float64)
+        direct = np.asarray(direct, dtype=np.float64)
+        assert sliced.shape == direct.shape
+        assert sliced.tobytes() == direct.tobytes()
