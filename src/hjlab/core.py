@@ -248,19 +248,26 @@ class PathAction:
 
     def local(self, I) -> Callable:
         """Evaluator f(x, xi): action of the two segments around interior
-        nodes I of path x, with those nodes moved to xi (one row per node)."""
-        ts, q, frac, beta = self.seg_times, self.q, self.frac, self.p.beta
-        left, right = self.U.time_slice(ts[I - 1]), self.U.time_slice(ts[I])
+        nodes I of path x, with those nodes moved to xi (one entry per node).
+
+        Quadrature points are laid out quadrature-major, (q, len(I)), so every
+        elementwise op runs on long contiguous rows.  Summing the q rows adds
+        each node's points in index order, as a row sum of the (len(I), q)
+        layout does for q < 8 (numpy sums longer rows pairwise).
+        """
+        ts, q, frac, beta = self.seg_times, self.q, self.frac[:, None], self.p.beta
+        left = self.U.time_slice(np.ascontiguousarray(ts[I - 1].T))
+        right = self.U.time_slice(np.ascontiguousarray(ts[I].T))
         dtl, dtr = self.dt[I - 1], self.dt[I]
         kl, kr = self.kin_den[I - 1], self.kin_den[I]
 
         def f(x, xi):
             a, b = x[I - 1], x[I + 1]
             kin = np.abs(xi - a) ** beta / kl + np.abs(b - xi) ** beta / kr
-            xl = a[:, None] + (xi - a)[:, None] * frac[None, :]
-            xr = xi[:, None] + (b - xi)[:, None] * frac[None, :]
-            pot = (np.sum(left(xl), axis=1) * dtl / q
-                   + np.sum(right(xr), axis=1) * dtr / q)
+            xl = a + (xi - a) * frac
+            xr = xi + (b - xi) * frac
+            pot = (np.sum(left(xl), axis=0) * dtl / q
+                   + np.sum(right(xr), axis=0) * dtr / q)
             return kin - pot
 
         return f

@@ -44,6 +44,9 @@ __all__ = [
 
 # keep whole per-slice value history only below this many total cells
 _HISTORY_CELL_LIMIT = 8_000_000
+# solve_dp finds each half stencil's minimum by a row-wise argmin on slices
+# narrower than this, and by a running scan over shifted rows on wider ones
+_DP_SCAN_WIDTH = 1500
 
 
 class DomainError(ValueError):
@@ -167,11 +170,25 @@ class ValueTable:
         return self.values_history[k]
 
     def value_at(self, x: float) -> float:
-        k = self.grid.n_steps
-        lo, hi = self.grid.slice_range(k)
-        j = self.grid.nearest_index(x)
-        j = min(max(j, lo), hi)
-        return float(self.final_values[j - lo])
+        """Final value at the final-slice node nearest x (see
+        :func:`_final_node`)."""
+        lo, _ = self.grid.slice_range(self.grid.n_steps)
+        return float(self.final_values[_final_node(self.grid, x) - lo])
+
+
+def _final_node(grid: GridSpec, x: float) -> int:
+    """Index of the final-slice node nearest x.
+
+    Raises :class:`DomainError` when x lies more than dx/2 outside the final
+    slice's node range, instead of snapping it to the nearest edge.
+    """
+    lo, hi = grid.slice_range(grid.n_steps)
+    u = (x - grid.x_min) / grid.dx
+    if not lo - 0.5 <= u <= hi + 0.5:
+        raise DomainError(
+            f"x={x} lies outside the final slice [{grid.x_min + lo * grid.dx}, "
+            f"{grid.x_min + hi * grid.dx}]")
+    return min(max(grid.nearest_index(x), lo), hi)
 
 
 def _transition_costs(grid: GridSpec, beta: float) -> np.ndarray:
@@ -180,11 +197,21 @@ def _transition_costs(grid: GridSpec, beta: float) -> np.ndarray:
     return np.abs(offs * grid.dx) ** beta / (beta * grid.dt_eff ** (beta - 1.0))
 
 
-def _priority_order(m: int) -> np.ndarray:
-    """Column order implementing the tie-break: smaller |offset| first, then
-    the more negative offset (smaller source index)."""
-    offs = np.arange(-m, m + 1)
-    return np.array(sorted(range(2 * m + 1), key=lambda c: (abs(offs[c]), offs[c])))
+def _scan_half(buf, W, half, sign, idx_dtype):
+    """First minimum over the offsets 0, sign, 2 sign, ..., sign m of the
+    padded slice ``buf`` for each of its W targets: (values, |offset|)."""
+    m = len(half) - 1
+    best = buf[m:m + W] + half[0]
+    idx = np.zeros(W, dtype=idx_dtype)
+    cand = np.empty(W)
+    better = np.empty(W, dtype=bool)
+    for o in range(1, m + 1):
+        lo = m + sign * o
+        np.add(buf[lo:lo + W], half[o], out=cand)
+        np.less(cand, best, out=better)
+        np.copyto(best, cand, where=better)
+        np.copyto(idx, o, where=better)
+    return best, idx
 
 
 def solve_dp(U: PotentialField, grid: GridSpec,
@@ -197,21 +224,40 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     ties broken toward the smaller displacement, then the smaller source
     index.  S0 may be None (zeros: free left endpoint), a callable of x, or
     an array over the first slice's nodes.
+
+    Each slice is relaxed as two half stencils of the padded slice, the
+    offsets 0, -1, ..., -m and 0, +1, ..., +m.  Each half yields its first
+    minimum in that order, i.e. the one at its smallest |offset|.  The
+    positive half wins only when its minimum is strictly smaller, or equal
+    at a strictly smaller |offset|; otherwise the negative half (the smaller
+    source index) wins.  That is the argmin over all 2m+1 candidates taken in
+    the order (|offset|, offset), so values and offsets are those of a single
+    priority-ordered argmin, bit for bit.  A NaN source value raises
+    ``ValueError``, since it has no place in that order.  Both halves
+    use one cost row, since the cost is symmetric in the offset.  A half's
+    first minimum is a row-wise ``argmin`` of its strided view on narrow
+    slices, and a strict-``<`` running scan over its m+1 shifted contiguous
+    rows on wide ones (fewer numpy calls per cell against better cache use);
+    both return the same value and offset.
     """
     n_steps = grid.n_steps
     dt = grid.dt_eff
     m = grid.stencil
     times = grid.times()
-    lo0, hi0 = grid.slice_range(0)
-    x0 = grid.nodes(lo0, hi0)
+    n_x = grid.n_x
+    x_all = grid.nodes()
+    bounds = ([(int(a), int(b)) for a, b in zip(grid.window.lo.tolist(),
+                                                 grid.window.hi.tolist())]
+              if grid.window is not None else [(0, n_x - 1)] * (n_steps + 1))
+    lo0, hi0 = bounds[0]
 
     if S0 is None:
-        prev = np.zeros(len(x0))
+        prev = np.zeros(hi0 - lo0 + 1)
     elif callable(S0):
-        prev = np.asarray(S0(x0), dtype=float)
+        prev = np.asarray(S0(x_all[lo0:hi0 + 1]), dtype=float)
     else:
         prev = np.asarray(S0, dtype=float)
-        if len(prev) != len(x0):
+        if len(prev) != hi0 - lo0 + 1:
             raise ValueError("S0 array length must match the first slice window")
     s0 = prev.copy()
 
@@ -221,54 +267,68 @@ def solve_dp(U: PotentialField, grid: GridSpec,
         if np.any(w.lo[1:] > w.hi[:-1] + m) or np.any(w.hi[1:] < w.lo[:-1] - m):
             raise DomainError("window excludes all sources for every target slice")
 
-    total_cells = (grid.window.width().sum() if grid.window is not None
-                   else (n_steps + 1) * grid.n_x)
+    total_cells = sum(hi - lo + 1 for lo, hi in bounds)
     if keep_history is None:
         keep_history = total_cells <= _HISTORY_CELL_LIMIT
     history = [prev.copy()] if keep_history else None
 
-    costs = _transition_costs(grid, p.beta)
-    perm = _priority_order(m)
-    costs_perm = costs[perm]
-    off_of_col = np.arange(-m, m + 1)[perm]
+    half = _transition_costs(grid, p.beta)[m:]     # cost of offsets 0..m
     off_dtype = np.int8 if m <= 127 else np.int16
+    W_max = max(hi - lo + 1 for lo, hi in bounds[1:])
+    buf = np.empty(W_max + 2 * m)
+    view = sliding_window_view(buf, 2 * m + 1)     # row j: sources j-m..j+m
+    flat = np.arange(min(W_max, _DP_SCAN_WIDTH)) * (m + 1)
 
     offsets = []
     boundary_warning = False
-    n_x = grid.n_x
 
     for k in range(n_steps):
-        lo_s, hi_s = grid.slice_range(k)
-        lo_t, hi_t = grid.slice_range(k + 1)
+        lo_s, hi_s = bounds[k]
+        lo_t, hi_t = bounds[k + 1]
         W_t = hi_t - lo_t + 1
-        xs = grid.nodes(lo_s, hi_s)
-        adjusted = prev - dt * np.asarray(U.value(xs, times[k]), dtype=float)
+        adjusted = prev - dt * np.asarray(U.value(x_all[lo_s:hi_s + 1], times[k]),
+                                          dtype=float)
+        if np.isnan(adjusted).any():
+            # the argmin and the scan would treat a NaN candidate differently
+            raise ValueError(f"NaN source value at slice {k}: S0 or the potential "
+                             "is not a number there")
 
-        buf = np.full(W_t + 2 * m, np.inf)
+        # buf[i] holds source node lo_t - m + i, +inf outside the slice
+        buf[:W_t + 2 * m] = np.inf
         shift = lo_s - (lo_t - m)
-        b_lo, b_hi = max(0, shift), min(len(buf), shift + len(adjusted))
+        b_lo, b_hi = max(0, shift), min(W_t + 2 * m, shift + len(adjusted))
         if b_lo < b_hi:
             buf[b_lo:b_hi] = adjusted[b_lo - shift:b_hi - shift]
 
-        view = sliding_window_view(buf, 2 * m + 1)          # (W_t, 2m+1)
-        cand = view[:, perm] + costs_perm[None, :]
-        idx = np.argmin(cand, axis=1)
-        best = np.take_along_axis(cand, idx[:, None], axis=1)[:, 0]
-        off = off_of_col[idx]
+        if W_t < _DP_SCAN_WIDTH:
+            neg = view[:W_t, m::-1] + half            # offsets 0, -1, ..., -m
+            pos = view[:W_t, m:] + half               # offsets 0, +1, ..., +m
+            ia = np.argmin(neg, axis=1)
+            ib = np.argmin(pos, axis=1)
+            ba = neg.ravel().take(flat[:W_t] + ia)
+            bb = pos.ravel().take(flat[:W_t] + ib)
+        else:
+            ba, ia = _scan_half(buf, W_t, half, -1, off_dtype)
+            bb, ib = _scan_half(buf, W_t, half, +1, off_dtype)
+        take_pos = (bb < ba) | ((bb == ba) & (ib < ia))
+        best = np.where(take_pos, bb, ba)
+        off = np.where(take_pos, ib, -ia).astype(off_dtype)
 
         # +inf targets are cells not yet reachable within the window band
         # (or outside a Dirac cone); they fill in as the cone expands.  A
         # fully disconnected slice is a genuine misconfiguration.
         if not np.any(np.isfinite(best)) and np.any(np.isfinite(prev)):
             raise DomainError(f"window excludes all sources at slice {k + 1}")
-        src_global = lo_t + np.arange(W_t) + off
-        tgt_global = lo_t + np.arange(W_t)
-        hit = ((src_global == 0) & (tgt_global != 0)) | \
-              ((src_global == n_x - 1) & (tgt_global != n_x - 1))
-        if np.any(hit & np.isfinite(best)):
-            boundary_warning = True
+        # a finite target fed from a grid-edge node it does not sit on; only
+        # targets within m of an edge can reach one
+        for edge in (0, n_x - 1):
+            j0, j1 = max(0, edge - m - lo_t), min(W_t, edge + m + 1 - lo_t)
+            if j0 < j1 and not boundary_warning:
+                tgt = np.arange(lo_t + j0, lo_t + j1)
+                boundary_warning = bool(np.any((tgt + off[j0:j1] == edge) & (tgt != edge)
+                                               & np.isfinite(best[j0:j1])))
 
-        offsets.append(off.astype(off_dtype))
+        offsets.append(off)
         prev = best
         if keep_history:
             history.append(prev.copy())
@@ -315,14 +375,15 @@ def solve_dp_batched(U: PotentialField, grid: GridSpec, S0_matrix: np.ndarray,
 def backtrack(table: ValueTable, x: float) -> Trajectory:
     """Follow argmin offsets from the terminal position back to t1.
 
-    ``x`` is snapped to the nearest grid node of the final slice.  On
-    windowed grids a trajectory touching any window edge raises
+    ``x`` is snapped to the nearest grid node of the final slice; an x more
+    than dx/2 outside that slice raises :class:`DomainError`.  On windowed
+    grids a trajectory touching any window edge raises
     :class:`WindowTouchError` (the window was too small).
     """
     grid = table.grid
     n_steps = grid.n_steps
-    lo_f, hi_f = grid.slice_range(n_steps)
-    j = min(max(grid.nearest_index(x), lo_f), hi_f)
+    lo_f, _ = grid.slice_range(n_steps)
+    j = _final_node(grid, x)
     if not np.isfinite(table.final_values[j - lo_f]):
         raise DomainError(f"terminal node x={x} is unreachable on this grid")
 

@@ -49,7 +49,8 @@ def bump(x, C: float):
     """C1 step profile: C for x <= -2, 0 for x >= 0, cubic smoothstep between.
 
     Returns (value, d/dx).  The smoothstep slope peaks at 0.75*C, inside the
-    required [-C, 0] band.
+    required [-C, 0] band.  The fields evaluate the value-only and
+    gradient-only kernels below; this pair is their reference.
     """
     if C < 0:
         raise ValueError("C must be >= 0")
@@ -60,6 +61,33 @@ def bump(x, C: float):
     if val.ndim == 0:
         return float(val), float(der)
     return val, der
+
+
+def _bump_value(x, C: float):
+    """``bump(x, C)[0]`` bit for bit, sign bits and NaN included.
+
+    On the flats (u = +-0 or 1) the cubic 3u^2 - 2u^3 is exactly u + 0.0, so
+    the libm ``u**3`` is needed only on ramp points (0 < u < 1).  Masking
+    pays only when those are a minority of the input; otherwise the cubic
+    runs on every point, as in :func:`bump`.
+    """
+    u = np.clip(-np.asarray(x, dtype=float) / 2.0, 0.0, 1.0)
+    ramp = np.flatnonzero((u > 0.0) & (u < 1.0))
+    if 2 * len(ramp) < u.size:
+        val = C * (u + 0.0)
+        if len(ramp):
+            ur = np.take(u, ramp)
+            np.put(val, ramp, C * (3.0 * ur**2 - 2.0 * ur**3))
+    else:
+        val = C * (3.0 * u**2 - 2.0 * u**3)
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def _bump_grad(x, C: float):
+    """``bump(x, C)[1]`` bit for bit, without computing the value."""
+    u = np.clip(-np.asarray(x, dtype=float) / 2.0, 0.0, 1.0)
+    der = -3.0 * C * u * (1.0 - u)
+    return float(der) if np.ndim(der) == 0 else der
 
 
 @dataclass(frozen=True)
@@ -210,21 +238,22 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
         raise ValueError("need K > 0 and C > 0")
     curve = PaceCurve(K=K, T=t2 - t1, beta=beta, quad_tol=quad_tol)
 
-    def _slice(ts, which):
+    def _slice(ts, kernel):
         g = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
-        return lambda x: bump(np.asarray(x, dtype=float) - y + g, C)[which]
+        return lambda x: kernel(np.asarray(x, dtype=float) - y + g, C)
 
     def support_hint(t):
         g = curve.value(float(np.clip(t2 - t, 0.0, curve.T)))
         return (y - g - 2.0, y - g)
 
     return PotentialField(
-        eval_fn=lambda x, t: _slice(t, 0)(x), grad_fn=lambda x, t: _slice(t, 1)(x),
+        eval_fn=lambda x, t: _slice(t, _bump_value)(x),
+        grad_fn=lambda x, t: _slice(t, _bump_grad)(x),
         bound=C, support_hint=support_hint, kind="accelerating",
         spec={"kind": "accelerating", "beta": beta, "C": C, "K": K,
               "t1": t1, "t2": t2, "y": y},
-        time_slice_fn=lambda ts: _slice(ts, 0),
-        grad_slice_fn=lambda ts: _slice(ts, 1),
+        time_slice_fn=lambda ts: _slice(ts, _bump_value),
+        grad_slice_fn=lambda ts: _slice(ts, _bump_grad),
     )
 
 
@@ -314,6 +343,8 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
     stage 1 finishes with bump(x) at t = 0.
     """
     C = schedule.C if C is None else C
+    if C < 0:
+        raise ValueError("C must be >= 0")
     K = schedule.K if K is None else K
     beta = schedule.beta if beta is None else beta
     curves = [PaceCurve(K=K, T=T_n, beta=beta, quad_tol=quad_tol)
@@ -336,14 +367,14 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
             g[m] = curves[n].value(np.clip(u[m] - S_prev[n], 0.0, schedule.stages[n][0]))
         return X_prev[idx], g
 
-    def _slice(ts, which):
+    def _slice(ts, kernel):
         # x + X_{n-1} + g, in that order, as the field is defined
         offset, g = _stage(ts)
-        return lambda x: bump(np.asarray(x, dtype=float) + offset + g, C)[which]
+        return lambda x: kernel(np.asarray(x, dtype=float) + offset + g, C)
 
-    def _field(which):
+    def _field(kernel):
         def fn(x, t):
-            v = _slice(t, which)(x)
+            v = _slice(t, kernel)(x)
             return v if np.ndim(x) or np.ndim(t) else float(v)
         return fn
 
@@ -353,10 +384,11 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
         return (-a - 2.0, -a)
 
     spec = schedule.spec_dict()
-    return PotentialField(eval_fn=_field(0), grad_fn=_field(1), bound=C,
-                          support_hint=support_hint, kind="glued", spec=spec,
-                          time_slice_fn=lambda ts: _slice(ts, 0),
-                          grad_slice_fn=lambda ts: _slice(ts, 1))
+    return PotentialField(eval_fn=_field(_bump_value), grad_fn=_field(_bump_grad),
+                          bound=C, support_hint=support_hint, kind="glued",
+                          spec=spec,
+                          time_slice_fn=lambda ts: _slice(ts, _bump_value),
+                          grad_slice_fn=lambda ts: _slice(ts, _bump_grad))
 
 
 @dataclass(frozen=True)

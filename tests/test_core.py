@@ -215,3 +215,32 @@ def test_path_action_grad_matches_central_differences(kind, beta):
         e[i] = h
         fd[i] = (pa.action(x + e) - pa.action(x - e)) / (2.0 * h)
     assert np.max(np.abs(g - fd)) <= 1e-7 * (1.0 + np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("kind", ["accelerating", "periodic"])
+def test_path_action_local_equals_node_major_sum(kind, q):
+    """local(I) lays the quadrature points out as (q, len(I)); its values
+    equal the node-major (len(I), q) evaluation with a per-node row sum bit
+    for bit (numpy adds rows of fewer than 8 terms in index order)."""
+    p = ModelParams(2.0)
+    t = np.linspace(0.0, 4.0, 41)
+    if kind == "accelerating":
+        U = accelerating_potential(0.0, 0.0, 4.0, 0.8, 1.0, 2.0)
+        x = np.array([U.support_hint(tk)[1] for tk in t]) - 1.0 + 0.5 * t
+    else:
+        U = periodic_potential(cosine_profile(1.0, 1.3), 1.0)
+        x = 1.5 * t + 0.2 * np.sin(5.0 * t)
+    pa = PathAction(t, U, p, quad_points=q)
+    rng = np.random.default_rng(q)
+    for I in (np.arange(1, len(x) - 1, 2), np.arange(2, len(x) - 1, 2)):
+        xi = x[I] + rng.uniform(-0.3, 0.3, len(I))
+        a, b = x[I - 1], x[I + 1]
+        frac = pa.frac[None, :]
+        xl = a[:, None] + (xi - a)[:, None] * frac
+        xr = xi[:, None] + (b - xi)[:, None] * frac
+        pot = (np.sum(U.time_slice(pa.seg_times[I - 1])(xl), axis=1) * pa.dt[I - 1] / q
+               + np.sum(U.time_slice(pa.seg_times[I])(xr), axis=1) * pa.dt[I] / q)
+        kin = (np.abs(xi - a) ** 2.0 / pa.kin_den[I - 1]
+               + np.abs(b - xi) ** 2.0 / pa.kin_den[I])
+        assert pa.local(I)(x, xi).tobytes() == (kin - pot).tobytes()

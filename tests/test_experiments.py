@@ -9,7 +9,8 @@ import pytest
 
 from hjlab.cli import main as cli_main
 from hjlab.experiments import (ExperimentConfig, ScalingReport,
-                               run_conjecture_probe, run_lemma_suite)
+                               run_conjecture_probe, run_lemma_suite, run_scaling)
+from hjlab.minimizer import WindowTouchError
 from hjlab.reports import canonical_json, emit, report_csv, report_svg
 
 
@@ -156,12 +157,31 @@ def test_probe_degenerate_single_profile_matches_periodic_construction():
 
 def test_scaling_threads_deterministic(tmp_path):
     base = dict(kind="scaling", horizons=[50.0, 100.0], out_dir=str(tmp_path))
-    from hjlab.experiments import run_scaling
     r1 = run_scaling(ExperimentConfig(**base, threads=1))
     r2 = run_scaling(ExperimentConfig(**base, threads=2))
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1["config"].pop("threads"), d2["config"].pop("threads")
     assert canonical_json(d1) == canonical_json(d2)
+
+
+def test_scaling_golden_digest(tmp_path):
+    """A one-horizon CI-profile scaling run reproduces pinned bytes, so any
+    drift in DP values, offset tie-breaks, refined positions or report
+    fields across commits shows here (determinism tests only compare reruns
+    of one build).  The digests were recorded with numpy 2.4 / scipy 1.17 on
+    x86-64; another libm or numpy build may round the pow, log and
+    incomplete-gamma calls differently and would need its own pin."""
+    import hashlib
+
+    report = run_scaling(ExperimentConfig(kind="scaling", horizons=[50.0],
+                                          out_dir=str(tmp_path)))
+    d = report.to_dict()
+    d["config"] = {k: v for k, v in d["config"].items() if k != "out_dir"}
+    digest = {"json": hashlib.sha256(canonical_json(d).encode()).hexdigest(),
+              "csv": hashlib.sha256(report_csv(report).encode()).hexdigest()}
+    assert digest == {
+        "json": "fa9a88a71a2ce5d8bb0997b7dc3c9e118104c812782bd80c6e04f4cf8d6c6def",
+        "csv": "567870cd17c0837def4e2c9b6f842c2fcce8b421d5c6e131472bb09c300b996b"}
 
 
 def test_lemma_suite_emit_deterministic(tmp_path):
@@ -251,13 +271,28 @@ def test_cli_exit_codes(tmp_path):
                      "--out-dir", str(tmp_path)]) == 2
 
 
-def test_cli_failed_runs_exit_1(tmp_path, capsys):
-    # WindowTouchError: an early band clipped to +-0.05 around the edge traps
-    # the minimizer on every margin retry
+def test_cli_failed_runs_exit_1(tmp_path, capsys, monkeypatch):
+    import hjlab.experiments
+
+    # DomainError: at margin 0.05 the final slice starts at -0.054, above the
+    # lowest target (-0.65), which backtrack used to snap to the window edge
+    # and then report as a window touch
     cfgfile = tmp_path / "tight.json"
     cfgfile.write_text(json.dumps({"margin": 0.05, "detach_cap_factor": 0.1}))
-    assert cli_main(["scaling", "--horizons", "60", "--config", str(cfgfile),
-                     "--out-dir", str(tmp_path), "--threads", "1"]) == 1
+    argv = ["scaling", "--horizons", "60", "--config", str(cfgfile),
+            "--out-dir", str(tmp_path), "--threads", "1"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "outside the final slice" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+    # WindowTouchError on every margin retry
+    def touch(table, x):
+        raise WindowTouchError("backtracked trajectory touched the co-moving window edge")
+
+    monkeypatch.setattr(hjlab.experiments, "backtrack", touch)
+    cfgfile.write_text(json.dumps({}))
+    assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "window edge" in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -345,6 +380,13 @@ def test_cli_scaling_with_horizon_flag(tmp_path):
 
 
 def test_cli_module_entrypoint():
+    import hjlab
+
+    # the child imports hjlab from wherever this process did (pytest's
+    # pythonpath setting does not reach subprocesses)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hjlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-m", "hjlab.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory, action,
                         constant_potential, el_residual, jensen_lower_bound,
                         zero_potential)
-from hjlab.minimizer import (DomainError, GridSpec, WindowTouchError,
+import hjlab.minimizer as minimizer
+from hjlab.minimizer import (DomainError, GridSpec, Window, WindowTouchError,
                              backtrack, comoving_window, enumerate_paths,
                              lemma_wT_margin, newton_polish, path_cost,
                              progression_margins, refine, solve_dp, solve_dp_batched,
@@ -147,6 +148,132 @@ def test_batched_sweep_equals_dp_and_enumeration(instance):
                      enumerate_paths(U, g, row, p)[0]):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def tie_heavy_dp_instances(draw):
+    """Integer-valued tabulated potential and S0 on a dyadic grid, so that
+    candidate sums tie exactly across offsets; S0 partly +inf, an optional
+    random window, stencils up to three nodes wider than the grid."""
+    beta = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    n_x = draw(st.integers(2, 9))
+    n_steps = draw(st.integers(1, 5))
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    m = draw(st.integers(1, n_x + 3))
+    g = GridSpec(x_min=0.0, x_max=0.5 * (n_x - 1), dx=0.5, t1=0.0,
+                 t2=dt * n_steps, dt=dt, v_max=(m + 0.5) * 0.5 / dt)
+    vals = draw(arrays(np.float64, (n_steps + 2, n_x),
+                       elements=st.integers(0, 2).map(float)))
+
+    def ev(x, t):
+        xi = np.clip(np.round((np.asarray(x) - g.x_min) / g.dx).astype(int), 0, n_x - 1)
+        ti = np.clip(np.round((np.asarray(t) - g.t1) / g.dt_eff), 0, n_steps + 1).astype(int)
+        return vals[ti, xi]
+
+    U = PotentialField(eval_fn=ev, grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+                       bound=2.0)
+    if draw(st.booleans()):
+        lo = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=n_steps + 1,
+                                    max_size=n_steps + 1)))
+        width = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=n_steps + 1,
+                                       max_size=n_steps + 1)))
+        w = Window(lo=lo, hi=np.minimum(lo + width, n_x - 1))
+        assume(not (np.any(w.lo[1:] > w.hi[:-1] + m) or np.any(w.hi[1:] < w.lo[:-1] - m)))
+        g = g.with_window(w)
+    lo0, hi0 = g.slice_range(0)
+    S0 = np.array(draw(st.lists(st.integers(-3, 3).map(float), min_size=hi0 - lo0 + 1,
+                                max_size=hi0 - lo0 + 1)))
+    S0[np.array(draw(arrays(np.bool_, len(S0))))] = np.inf
+    S0[draw(st.integers(0, len(S0) - 1))] = draw(st.integers(-3, 3).map(float))
+    return U, g, ModelParams(beta=beta, C=2.0), S0
+
+
+def _priority_argmin_oracle(U, g, S0, p):
+    """Pure-Python sweep: each target takes the first strict minimum over the
+    offsets in the order (|o|, o), i.e. 0, -1, +1, -2, +2, ...  Returns the
+    final values, the offsets per slice and the brute-force boundary flag
+    (a finite target fed from a grid-edge node it does not sit on)."""
+    m, n_x, dt = g.stencil, g.n_x, g.dt_eff
+    xs, times = g.nodes(), g.times()
+    cost = {o: abs(o * g.dx) ** p.beta / (p.beta * dt ** (p.beta - 1.0))
+            for o in range(-m, m + 1)}
+    order = [0] + [s * o for o in range(1, m + 1) for s in (-1, 1)]
+    lo, hi = g.slice_range(0)
+    prev = {i: float(v) for i, v in zip(range(lo, hi + 1), S0)}
+    offsets, warn = [], False
+    for k in range(g.n_steps):
+        u = U.value(xs, times[k])
+        adjusted = {i: prev[i] - dt * float(u[i]) for i in prev}
+        lo, hi = g.slice_range(k + 1)
+        nxt, offs = {}, []
+        for j in range(lo, hi + 1):
+            best, arg = None, None
+            for o in order:
+                c = adjusted.get(j + o, math.inf) + cost[o]
+                if best is None or c < best:
+                    best, arg = c, o
+            nxt[j] = best
+            offs.append(arg)
+            src = j + arg
+            if math.isfinite(best) and ((src == 0 and j != 0)
+                                        or (src == n_x - 1 and j != n_x - 1)):
+                warn = True
+        prev = nxt
+        offsets.append(offs)
+    return np.array([prev[j] for j in sorted(prev)]), offsets, warn
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_dp_instances())
+def test_solve_dp_backpointers_equal_priority_argmin(instance):
+    """Values, every offset and boundary_warning equal a pure-Python argmin
+    in the order (|o|, o), on both relaxation paths of solve_dp."""
+    U, g, p, S0 = instance
+    values, offsets, warn = _priority_argmin_oracle(U, g, S0, p)
+    saved = minimizer._DP_SCAN_WIDTH
+    try:
+        for scan_width in (1, 10 ** 9):      # every slice scanned / argmin'd
+            minimizer._DP_SCAN_WIDTH = scan_width
+            try:
+                tab = solve_dp(U, g, S0, p)
+            except DomainError:
+                assume(False)                # a slice cut off from all sources
+            assert tab.final_values.tobytes() == values.tobytes()
+            assert [o.tolist() for o in tab.offsets] == offsets
+            assert tab.boundary_warning == warn
+    finally:
+        minimizer._DP_SCAN_WIDTH = saved
+
+
+def test_nan_source_value_raises():
+    g = GridSpec(x_min=-1.0, x_max=1.0, dx=0.5, t1=0.0, t2=1.0, dt=0.5, v_max=2.0)
+    S0 = np.zeros(g.n_x)
+    S0[2] = np.nan
+    with pytest.raises(ValueError, match="NaN source value at slice 0"):
+        solve_dp(zero_potential(), g, S0, P2)
+    U = PotentialField(eval_fn=lambda x, t: np.where(t > 0.2, np.nan, 0.0 * x),
+                       grad_fn=lambda x, t: 0.0 * x, bound=1.0)
+    with pytest.raises(ValueError, match="NaN source value at slice 1"):
+        solve_dp(U, g, None, P2)
+
+
+def test_out_of_range_target_raises():
+    g = GridSpec(x_min=-1.0, x_max=1.0, dx=0.1, t1=0.0, t2=1.0, dt=0.1, v_max=2.0)
+    tab = solve_dp(zero_potential(), g, None, P2)
+    for x in (50.0, 1.06, -1.06, math.nan):
+        with pytest.raises(DomainError, match="outside the final slice"):
+            backtrack(tab, x)
+        with pytest.raises(DomainError, match="outside the final slice"):
+            tab.value_at(x)
+    # within dx/2 of the end nodes x still snaps to them
+    assert backtrack(tab, 1.04).positions[-1] == 1.0
+    assert tab.value_at(-1.04) == 0.0
+    # on a windowed grid the range is the final slice's window
+    w = Window(lo=np.full(g.n_steps + 1, 5), hi=np.full(g.n_steps + 1, 15))
+    wtab = solve_dp(zero_potential(), g.with_window(w), None, P2)
+    assert wtab.value_at(0.5) == 0.0
+    with pytest.raises(DomainError):
+        wtab.value_at(0.56)
 
 
 def test_backtrack_action_consistency_identity():

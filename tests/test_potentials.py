@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from hjlab.core import certify_potential, constant_potential, zero_potential
 from hjlab.potentials import (FEASIBLE_HORIZON_MAX, GluedSchedule, PaceCurve,
+                              _bump_grad, _bump_value,
                               ScheduleOverflowError, accelerating_potential,
                               bump, cosine_profile, glued_potential,
                               glued_schedule, pace, pace_energy_closed,
@@ -339,3 +340,97 @@ def test_slices_equal_field_bitwise(kind, t_frac, ramp):
         direct = np.asarray(direct, dtype=np.float64)
         assert sliced.shape == direct.shape
         assert sliced.tobytes() == direct.tobytes()
+
+
+BUMP_SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, -2.0, -3.0,
+                       -2.0000000000000004, -1.9999999999999998, math.inf,
+                       -math.inf, math.nan]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _check_bump_kernels(x, C):
+    want_v, want_d = bump(x, C)
+    got_v, got_d = _bump_value(x, C), _bump_grad(x, C)
+    assert type(got_v) is type(want_v) and type(got_d) is type(want_d)
+    assert _same_bits(got_v, want_v) and _same_bits(got_d, want_d)
+
+
+@pytest.mark.parametrize("C", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("case", ["flat", "ramp", "ramp-minority", "ramp-half",
+                                  "special", "0-d", "nan", "fortran", "transposed"])
+def test_bump_kernels_equal_bump_bitwise(case, C):
+    """The value-only and gradient-only kernels reproduce bump's value and
+    derivative bit for bit, sign bits included, on both sides of the
+    masking rule (ramp points a minority or not)."""
+    rng = np.random.default_rng(7)
+    flat = np.concatenate([rng.uniform(0.0, 9.0, 60), rng.uniform(-9.0, -2.0, 60)])
+    ramp = rng.uniform(-2.0, 0.0, 120)
+    x = {"flat": flat,
+         "ramp": ramp,
+         "ramp-minority": np.concatenate([flat, ramp[:10]]),
+         "ramp-half": np.concatenate([flat[:60], ramp[:60]]),
+         "special": np.array(BUMP_SPECIAL_POINTS),
+         "0-d": None,
+         "nan": np.array([math.nan, -1.0, 3.0]),
+         "fortran": np.asfortranarray(np.concatenate([flat, ramp[:40]]).reshape(8, 20)),
+         "transposed": np.concatenate([flat, ramp[:8]]).reshape(4, 32).T}[case]
+    if x is None:
+        for v in BUMP_SPECIAL_POINTS:
+            _check_bump_kernels(v, C)
+            _check_bump_kernels(np.float64(v), C)
+            _check_bump_kernels(np.array(v), C)
+    else:
+        _check_bump_kernels(x, C)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=arrays(np.float64, st.integers(0, 50),
+                elements=st.one_of(st.floats(-3.0, 1.0),
+                                   st.sampled_from(BUMP_SPECIAL_POINTS))),
+       C=st.sampled_from([0.0, 0.75, 1.0, 3.0]))
+def test_bump_kernels_equal_bump_on_random_mixes(x, C):
+    _check_bump_kernels(x, C)
+
+
+def _glued_argument(sched, x, t):
+    """x + X_{n-1} + g_{T_n}(-t - S_{n-1}) in the field's order, per point."""
+    curves = [PaceCurve(K=sched.K, T=T_n, beta=sched.beta) for T_n, _, _ in sched.stages]
+    S = [st_[1] for st_ in sched.stages]
+    out = np.empty(np.shape(x))
+    for i, (xi, ti) in enumerate(zip(np.ravel(x), np.ravel(t))):
+        u = min(max(-ti, 0.0), sched.S_final)
+        n = min(int(np.searchsorted(S, u, side="right")), len(S) - 1)
+        s_prev = 0.0 if n == 0 else S[n - 1]
+        x_prev = 0.0 if n == 0 else sched.stages[n - 1][2]
+        g = curves[n].value(np.array([min(max(u - s_prev, 0.0), sched.stages[n][0])]))[0]
+        out.flat[i] = (xi + x_prev) + g
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["accelerating", "glued"]),
+       t_frac=arrays(np.float64, (4, 12), elements=st.floats(0.0, 1.0)),
+       ramp=arrays(np.float64, (4, 12), elements=st.floats(-3.0, 1.0)))
+def test_fields_equal_bump_of_their_argument(kind, t_frac, ramp):
+    """The accelerating and glued fields, their time slices included, give
+    bump(argument, C) bit for bit, with the argument built as each field
+    defines it."""
+    U, t_lo, t_hi = SLICE_FIELDS[kind]
+    ts = t_lo + (t_hi - t_lo) * t_frac
+    edge = np.array([U.support_hint(t)[1] for t in ts.ravel()]).reshape(ts.shape)
+    xs = edge + ramp
+    if kind == "accelerating":
+        spec = U.spec
+        curve = PaceCurve(K=spec["K"], T=spec["t2"] - spec["t1"], beta=spec["beta"])
+        arg = xs - spec["y"] + curve.value(np.clip(spec["t2"] - ts, 0.0, curve.T))
+    else:
+        sched = glued_schedule(0.25, 2.0, 0.632, 1.0, 2.0, 3, cap=30.0)
+        arg = _glued_argument(sched, xs, ts)
+    want_v, want_d = bump(arg, U.bound)
+    for got, want in ((U.value(xs, ts), want_v), (U.time_slice(ts)(xs), want_v),
+                      (U.grad(xs, ts), want_d), (U.grad_slice(ts)(xs), want_d)):
+        assert _same_bits(got, want)
