@@ -44,13 +44,15 @@ __all__ = [
 
 # keep whole per-slice value history only below this many total cells
 _HISTORY_CELL_LIMIT = 8_000_000
-# solve_dp finds each half stencil's minimum by a row-wise argmin on slices
-# narrower than this, and by a running scan over shifted rows on wider ones
-_DP_SCAN_WIDTH = 1500
+# solve_dp relaxes slices narrower than this by a row-wise argmin and wider
+# ones by a running scan over shifted rows; on recorded scaling-run slices
+# (stencil 30) the two cost the same per cell-offset at 2500-2750 targets
+_DP_SCAN_WIDTH = 2600
 
 
 class DomainError(ValueError):
-    """Grid/window misconfiguration: some target has no admissible source."""
+    """The grid, window or potential cannot carry the sweep: some target has
+    no admissible source, lies off the grid, or a source value is NaN."""
 
 
 class WindowTouchError(RuntimeError):
@@ -179,15 +181,20 @@ class ValueTable:
 def _final_node(grid: GridSpec, x: float) -> int:
     """Index of the final-slice node nearest x.
 
-    Raises :class:`DomainError` when x lies more than dx/2 outside the final
-    slice's node range, instead of snapping it to the nearest edge.
+    An x more than dx/2 outside the final slice's node range is not snapped
+    to the nearest edge: off the grid it raises :class:`DomainError`; on the
+    grid but outside a co-moving window's final slice it raises
+    :class:`WindowTouchError`, since a wider window would hold it.
     """
     lo, hi = grid.slice_range(grid.n_steps)
     u = (x - grid.x_min) / grid.dx
+    if not -0.5 <= u <= grid.n_x - 0.5:
+        raise DomainError(f"x={x} lies outside the grid [{grid.x_min}, {grid.x_max}]")
     if not lo - 0.5 <= u <= hi + 0.5:
-        raise DomainError(
-            f"x={x} lies outside the final slice [{grid.x_min + lo * grid.dx}, "
-            f"{grid.x_min + hi * grid.dx}]")
+        raise WindowTouchError(
+            f"x={x} lies past the co-moving window edge: the final slice is "
+            f"[{grid.x_min + lo * grid.dx}, {grid.x_min + hi * grid.dx}]; "
+            "enlarge the margin")
     return min(max(grid.nearest_index(x), lo), hi)
 
 
@@ -197,21 +204,21 @@ def _transition_costs(grid: GridSpec, beta: float) -> np.ndarray:
     return np.abs(offs * grid.dx) ** beta / (beta * grid.dt_eff ** (beta - 1.0))
 
 
-def _scan_half(buf, W, half, sign, idx_dtype):
-    """First minimum over the offsets 0, sign, 2 sign, ..., sign m of the
-    padded slice ``buf`` for each of its W targets: (values, |offset|)."""
+def _priority_scan(buf, W, half, off_dtype):
+    """First minimum over the offsets 0, -1, +1, ..., -m, +m of the padded
+    slice ``buf`` for each of its W targets: (values, offsets)."""
     m = len(half) - 1
     best = buf[m:m + W] + half[0]
-    idx = np.zeros(W, dtype=idx_dtype)
+    off = np.zeros(W, dtype=off_dtype)
     cand = np.empty(W)
     better = np.empty(W, dtype=bool)
     for o in range(1, m + 1):
-        lo = m + sign * o
-        np.add(buf[lo:lo + W], half[o], out=cand)
-        np.less(cand, best, out=better)
-        np.copyto(best, cand, where=better)
-        np.copyto(idx, o, where=better)
-    return best, idx
+        for s in (-o, o):
+            np.add(buf[m + s:m + s + W], half[o], out=cand)
+            np.less(cand, best, out=better)
+            np.copyto(best, cand, where=better)
+            np.copyto(off, s, where=better)
+    return best, off
 
 
 def solve_dp(U: PotentialField, grid: GridSpec,
@@ -225,20 +232,19 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     index.  S0 may be None (zeros: free left endpoint), a callable of x, or
     an array over the first slice's nodes.
 
-    Each slice is relaxed as two half stencils of the padded slice, the
-    offsets 0, -1, ..., -m and 0, +1, ..., +m.  Each half yields its first
-    minimum in that order, i.e. the one at its smallest |offset|.  The
-    positive half wins only when its minimum is strictly smaller, or equal
-    at a strictly smaller |offset|; otherwise the negative half (the smaller
-    source index) wins.  That is the argmin over all 2m+1 candidates taken in
-    the order (|offset|, offset), so values and offsets are those of a single
-    priority-ordered argmin, bit for bit.  A NaN source value raises
-    ``ValueError``, since it has no place in that order.  Both halves
-    use one cost row, since the cost is symmetric in the offset.  A half's
-    first minimum is a row-wise ``argmin`` of its strided view on narrow
-    slices, and a strict-``<`` running scan over its m+1 shifted contiguous
-    rows on wide ones (fewer numpy calls per cell against better cache use);
-    both return the same value and offset.
+    Each target takes the first minimum of its 2m+1 candidates in the
+    priority order (|offset|, offset): 0, -1, +1, ..., -m, +m.  On narrow
+    slices the two half stencils of the padded slice, offsets 0, -1, ..., -m
+    (a reversed strided view) and 0, +1, ..., +m, are written interleaved into
+    one row per target, 0, 0, -1, +1, ..., -m, +m; the row's ``argmin``
+    (its first minimum) is then the priority argmin, column c holding the
+    offset (c // 2) with the sign of column parity.  On wide slices a
+    strict-``<`` running scan visits the shifted contiguous rows of the
+    padded slice in the same order (fewer numpy calls per cell against
+    better cache use).  Both give the same values and offsets, bit for bit.
+    Both halves use one cost row, since the cost is symmetric in the offset.
+    A NaN in S0 raises ``ValueError`` and a NaN potential value raises
+    :class:`DomainError`, since a NaN has no place in that order.
     """
     n_steps = grid.n_steps
     dt = grid.dt_eff
@@ -259,6 +265,8 @@ def solve_dp(U: PotentialField, grid: GridSpec,
         prev = np.asarray(S0, dtype=float)
         if len(prev) != hi0 - lo0 + 1:
             raise ValueError("S0 array length must match the first slice window")
+    if np.isnan(prev).any():
+        raise ValueError("S0 is not a number at some node")
     s0 = prev.copy()
 
     if grid.window is not None:
@@ -277,7 +285,11 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     W_max = max(hi - lo + 1 for lo, hi in bounds[1:])
     buf = np.empty(W_max + 2 * m)
     view = sliding_window_view(buf, 2 * m + 1)     # row j: sources j-m..j+m
-    flat = np.arange(min(W_max, _DP_SCAN_WIDTH)) * (m + 1)
+    # narrow slices: row j holds the candidates of offsets 0, 0, -1, +1, ...
+    W_narrow = min(W_max, _DP_SCAN_WIDTH)
+    pairs = np.empty((W_narrow, m + 1, 2))
+    rows = pairs.reshape(W_narrow, 2 * m + 2)
+    flat = np.arange(W_narrow) * (2 * m + 2)
 
     offsets = []
     boundary_warning = False
@@ -290,8 +302,8 @@ def solve_dp(U: PotentialField, grid: GridSpec,
                                           dtype=float)
         if np.isnan(adjusted).any():
             # the argmin and the scan would treat a NaN candidate differently
-            raise ValueError(f"NaN source value at slice {k}: S0 or the potential "
-                             "is not a number there")
+            raise DomainError(f"NaN source value at slice {k}: the potential is "
+                              "not a number there")
 
         # buf[i] holds source node lo_t - m + i, +inf outside the slice
         buf[:W_t + 2 * m] = np.inf
@@ -301,18 +313,14 @@ def solve_dp(U: PotentialField, grid: GridSpec,
             buf[b_lo:b_hi] = adjusted[b_lo - shift:b_hi - shift]
 
         if W_t < _DP_SCAN_WIDTH:
-            neg = view[:W_t, m::-1] + half            # offsets 0, -1, ..., -m
-            pos = view[:W_t, m:] + half               # offsets 0, +1, ..., +m
-            ia = np.argmin(neg, axis=1)
-            ib = np.argmin(pos, axis=1)
-            ba = neg.ravel().take(flat[:W_t] + ia)
-            bb = pos.ravel().take(flat[:W_t] + ib)
+            np.add(view[:W_t, m::-1], half, out=pairs[:W_t, :, 0])   # 0, -1, ..., -m
+            np.add(view[:W_t, m:], half, out=pairs[:W_t, :, 1])     # 0, +1, ..., +m
+            col = np.argmin(rows[:W_t], axis=1)
+            best = rows[:W_t].ravel().take(flat[:W_t] + col)
+            o = (col >> 1).astype(off_dtype)
+            off = np.where(col & 1, o, -o)
         else:
-            ba, ia = _scan_half(buf, W_t, half, -1, off_dtype)
-            bb, ib = _scan_half(buf, W_t, half, +1, off_dtype)
-        take_pos = (bb < ba) | ((bb == ba) & (ib < ia))
-        best = np.where(take_pos, bb, ba)
-        off = np.where(take_pos, ib, -ia).astype(off_dtype)
+            best, off = _priority_scan(buf, W_t, half, off_dtype)
 
         # +inf targets are cells not yet reachable within the window band
         # (or outside a Dirac cone); they fill in as the cone expands.  A
@@ -376,8 +384,8 @@ def backtrack(table: ValueTable, x: float) -> Trajectory:
     """Follow argmin offsets from the terminal position back to t1.
 
     ``x`` is snapped to the nearest grid node of the final slice; an x more
-    than dx/2 outside that slice raises :class:`DomainError`.  On windowed
-    grids a trajectory touching any window edge raises
+    than dx/2 outside that slice raises as in :func:`_final_node`.  On
+    windowed grids a trajectory touching any window edge raises
     :class:`WindowTouchError` (the window was too small).
     """
     grid = table.grid

@@ -10,7 +10,6 @@ import pytest
 from hjlab.cli import main as cli_main
 from hjlab.experiments import (ExperimentConfig, ScalingReport,
                                run_conjecture_probe, run_lemma_suite, run_scaling)
-from hjlab.minimizer import WindowTouchError
 from hjlab.reports import canonical_json, emit, report_csv, report_svg
 
 
@@ -271,31 +270,39 @@ def test_cli_exit_codes(tmp_path):
                      "--out-dir", str(tmp_path)]) == 2
 
 
-def test_cli_failed_runs_exit_1(tmp_path, capsys, monkeypatch):
-    import hjlab.experiments
-
-    # DomainError: at margin 0.05 the final slice starts at -0.054, above the
-    # lowest target (-0.65), which backtrack used to snap to the window edge
-    # and then report as a window touch
+def test_cli_failed_runs_exit_1(tmp_path, capsys):
+    # WindowTouchError on every margin retry: at margins 0.05, 0.1 and 0.2
+    # the final slice starts above the lowest target (-0.65)
     cfgfile = tmp_path / "tight.json"
     cfgfile.write_text(json.dumps({"margin": 0.05, "detach_cap_factor": 0.1}))
-    argv = ["scaling", "--horizons", "60", "--config", str(cfgfile),
-            "--out-dir", str(tmp_path), "--threads", "1"]
-    assert cli_main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("run failed:") and "outside the final slice" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-    # WindowTouchError on every margin retry
-    def touch(table, x):
-        raise WindowTouchError("backtracked trajectory touched the co-moving window edge")
-
-    monkeypatch.setattr(hjlab.experiments, "backtrack", touch)
-    cfgfile.write_text(json.dumps({}))
-    assert cli_main(argv) == 1
+    assert cli_main(["scaling", "--horizons", "60", "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path), "--threads", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "window edge" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_scaling_margin_retry_recovers(tmp_path, monkeypatch):
+    """At T = 60 the final slice starts near -margin.  The attempts at
+    margins 0.2 and 0.4 raise WindowTouchError, since the lowest target
+    (-0.65) lies past the window edge, and the run recovers at 0.8 with
+    every target inside the window (it is not snapped to the edge)."""
+    import hjlab.experiments
+
+    margins = []
+    scaling_grid = hjlab.experiments.scaling_grid
+
+    def spy(cfg, T, K2, x_targets, margin=None):
+        margins.append(margin)
+        return scaling_grid(cfg, T, K2, x_targets, margin=margin)
+
+    monkeypatch.setattr(hjlab.experiments, "scaling_grid", spy)
+    report = run_scaling(ExperimentConfig(kind="scaling", horizons=[60.0], margin=0.2,
+                                          out_dir=str(tmp_path)))
+    assert margins == [0.2, 0.4, 0.8]
+    (rec,) = report.records
+    assert min(rec["targets"]) < -0.6
+    assert all(math.isfinite(v) for v in rec["speeds"])
 
 
 def test_cli_minimize_domain_above_edge_fails(tmp_path, capsys, monkeypatch):

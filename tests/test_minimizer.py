@@ -249,31 +249,42 @@ def test_nan_source_value_raises():
     g = GridSpec(x_min=-1.0, x_max=1.0, dx=0.5, t1=0.0, t2=1.0, dt=0.5, v_max=2.0)
     S0 = np.zeros(g.n_x)
     S0[2] = np.nan
-    with pytest.raises(ValueError, match="NaN source value at slice 0"):
+    # a NaN initial value is a configuration error (ValueError, CLI exit 2);
+    # a NaN potential value fails the run (DomainError, CLI exit 1)
+    with pytest.raises(ValueError, match="S0 is not a number") as err:
         solve_dp(zero_potential(), g, S0, P2)
-    U = PotentialField(eval_fn=lambda x, t: np.where(t > 0.2, np.nan, 0.0 * x),
-                       grad_fn=lambda x, t: 0.0 * x, bound=1.0)
-    with pytest.raises(ValueError, match="NaN source value at slice 1"):
-        solve_dp(U, g, None, P2)
+    assert not isinstance(err.value, DomainError)
+    for t_nan, k in ((-1.0, 0), (0.2, 1)):
+        U = PotentialField(eval_fn=lambda x, t, t_nan=t_nan: np.where(t > t_nan, np.nan, 0.0 * x),
+                           grad_fn=lambda x, t: 0.0 * x, bound=1.0)
+        with pytest.raises(DomainError, match=f"NaN source value at slice {k}"):
+            solve_dp(U, g, None, P2)
 
 
 def test_out_of_range_target_raises():
     g = GridSpec(x_min=-1.0, x_max=1.0, dx=0.1, t1=0.0, t2=1.0, dt=0.1, v_max=2.0)
     tab = solve_dp(zero_potential(), g, None, P2)
     for x in (50.0, 1.06, -1.06, math.nan):
-        with pytest.raises(DomainError, match="outside the final slice"):
+        with pytest.raises(DomainError, match="outside the grid"):
             backtrack(tab, x)
-        with pytest.raises(DomainError, match="outside the final slice"):
+        with pytest.raises(DomainError, match="outside the grid"):
             tab.value_at(x)
     # within dx/2 of the end nodes x still snaps to them
     assert backtrack(tab, 1.04).positions[-1] == 1.0
     assert tab.value_at(-1.04) == 0.0
-    # on a windowed grid the range is the final slice's window
+    # on a windowed grid, a target on the grid but past the final slice's
+    # window is a window touch (a wider window holds it), off the grid a
+    # domain error
     w = Window(lo=np.full(g.n_steps + 1, 5), hi=np.full(g.n_steps + 1, 15))
     wtab = solve_dp(zero_potential(), g.with_window(w), None, P2)
     assert wtab.value_at(0.5) == 0.0
-    with pytest.raises(DomainError):
-        wtab.value_at(0.56)
+    for x in (0.56, -0.56, 1.0):
+        with pytest.raises(WindowTouchError, match="window edge"):
+            wtab.value_at(x)
+        with pytest.raises(WindowTouchError, match="window edge"):
+            backtrack(wtab, x)
+    with pytest.raises(DomainError, match="outside the grid"):
+        backtrack(wtab, 1.06)
 
 
 def test_backtrack_action_consistency_identity():
