@@ -33,6 +33,10 @@ __all__ = [
     "gridfunction_from_csv",
 ]
 
+# kernel() refuses to start above this many bytes of live rows x n_x
+# float64 matrices; it is a memory guard, not a tuning knob
+_KERNEL_BYTE_BUDGET = 1 << 30
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -92,11 +96,21 @@ def kernel(U: PotentialField, t1: float, t2: float, grid: GridSpec,
     One DP row per source node: the sweep starts from 0 at the source and
     +inf elsewhere, so row i of the result is A(y_i, x_j) for every target.
     ``source_stride`` subsamples the source set (targets stay dense).
+
+    The sweep holds two ``rows x n_x`` float64 matrices at once, the Dirac
+    starts and the swept values.  A kernel whose two matrices would exceed
+    1 GiB (``_KERNEL_BYTE_BUDGET``; 8192 x 8192 nodes at stride 1) raises
+    ``ValueError`` before either is allocated.
     """
     inner = GridSpec(grid.x_min, grid.x_max, grid.dx, t1, t2, grid.dt, grid.v_max)
     nodes = inner.nodes()
     n = inner.n_x
     rows = np.arange(0, n, source_stride)
+    need = 2 * len(rows) * n * 8
+    if need > _KERNEL_BYTE_BUDGET:
+        raise ValueError(f"a {len(rows)} x {n} kernel needs {need} bytes for its two "
+                         f"live matrices, over the {_KERNEL_BYTE_BUDGET}-byte "
+                         "budget; coarsen dx or raise source_stride")
     S0 = np.full((len(rows), n), np.inf)
     S0[np.arange(len(rows)), rows] = 0.0
     entries = solve_dp_batched(U, inner, S0, p)

@@ -48,6 +48,11 @@ _HISTORY_CELL_LIMIT = 8_000_000
 # ones by a running scan over shifted rows; on recorded scaling-run slices
 # (stencil 30) the two cost the same per cell-offset at 2500-2750 targets
 _DP_SCAN_WIDTH = 2600
+# solve_dp_batched relaxes this many rows at a time through one padded
+# buffer; on 411-node kernel slices (stencil 16, 2 MB L2 per core) 64-128
+# rows cost the same per cell-offset, fewer rows pay per-call overhead and
+# 192 or more spill the block's three arrays out of L2
+_BATCH_ROWS = 128
 
 
 class DomainError(ValueError):
@@ -353,30 +358,55 @@ def solve_dp_batched(U: PotentialField, grid: GridSpec, S0_matrix: np.ndarray,
     Used for kernel assembly (Dirac rows).  Full-grid only; returns the
     final-slice value matrix.  No backpointers are kept.
 
-    Each slice is one min-plus convolution, computed as a grey erosion with
-    structure -costs and +inf outside the grid.  It equals the sweep of
-    :func:`solve_dp` bit for bit: ``a - (-c)`` is exactly ``a + c`` in IEEE
-    arithmetic, a minimum does not depend on evaluation order, and the cost
-    ``|o dx|^beta`` is symmetric in the offset, so the orientation of the
-    structure does not matter.  An asymmetric cost would need the structure
-    reversed.
-    """
-    from scipy.ndimage import grey_erosion   # lazy: adds ~50 ms to `import hjlab`
+    Each slice is one min-plus convolution, run values-only over blocks of
+    ``_BATCH_ROWS`` rows.  A block's source values ``a`` (the row minus
+    ``dt U(x, t_k)``) go into the centre of one reused buffer padded with
+    +inf; the target starts at ``a + c_0`` and, per offset pair +-o, takes
+    ``min(best, min(a[j-o], a[j+o]) + c_o)``.  This equals the sweep of
+    :func:`solve_dp` bit for bit: rounding is monotone, so
+    ``fl(min(a, b) + c) == min(fl(a + c), fl(b + c))``; no candidate is
+    -0, since each is ``fl(a + c)`` with ``c >= +0``; and a minimum over
+    non-NaN values does not depend on the order it is taken in.  The fold
+    needs the cost ``|o dx|^beta`` to be symmetric in the offset.  It does
+    not carry over to :func:`solve_dp`: ``fl(a + c) == fl(b + c)`` can hold
+    with ``a != b``, and the backpointers' (|o|, o) tie-break would see it.
 
+    A NaN in S0_matrix raises ``ValueError`` and a NaN source value (a NaN
+    potential value) raises :class:`DomainError`, as in :func:`solve_dp`;
+    ``np.minimum`` would spread a NaN rather than skip it.
+    """
     if grid.window is not None:
         raise ValueError("batched sweep supports full grids only")
-    n_steps, dt = grid.n_steps, grid.dt_eff
+    n_steps, dt, m, n = grid.n_steps, grid.dt_eff, grid.stencil, grid.n_x
     times = grid.times()
     xs = grid.nodes()
-    vals = np.asarray(S0_matrix, dtype=float)
-    if vals.ndim != 2 or vals.shape[1] != grid.n_x:
+    vals = np.array(S0_matrix, dtype=float)          # updated in place
+    if vals.ndim != 2 or vals.shape[1] != n:
         raise ValueError("S0_matrix must be (n_rows, n_x)")
-    structure = -_transition_costs(grid, p.beta)[None, :]
+    if np.isnan(vals).any():
+        raise ValueError("S0_matrix is not a number at some entry")
+    half = _transition_costs(grid, p.beta)[m:]     # cost of offsets 0..m
+    n_rows = len(vals)
+    B = max(1, min(_BATCH_ROWS, n_rows))
+    pad = np.full((B, n + 2 * m), np.inf)           # row r: sources -m..n-1+m
+    tmp = np.empty((B, n))
 
     for k in range(n_steps):
-        adjusted = vals - dt * np.asarray(U.value(xs, times[k]), dtype=float)[None, :]
-        vals = grey_erosion(adjusted, structure=structure, mode="constant",
-                            cval=np.inf)
+        du = dt * np.asarray(U.value(xs, times[k]), dtype=float)
+        for r0 in range(0, n_rows, B):
+            best = vals[r0:r0 + B]
+            b = len(best)
+            P, t = pad[:b], tmp[:b]
+            centre = P[:, m:m + n]
+            np.subtract(best, du, out=centre)
+            if np.isnan(centre).any():
+                raise DomainError(f"NaN source value at slice {k}: the potential is "
+                                  "not a number there")
+            np.add(centre, half[0], out=best)
+            for o in range(1, m + 1):
+                np.minimum(P[:, m - o:m - o + n], P[:, m + o:m + o + n], out=t)
+                t += half[o]
+                np.minimum(best, t, out=best)
     return vals
 
 

@@ -270,6 +270,44 @@ def test_cli_exit_codes(tmp_path):
                      "--out-dir", str(tmp_path)]) == 2
 
 
+def test_cli_kernel_exit_codes(tmp_path, monkeypatch, capsys):
+    """`hjlab kernel`: a NaN initial value or an over-budget kernel is a
+    configuration error (exit 2), a NaN potential value a failed run (exit 1)."""
+    import hjlab.cli
+    import hjlab.laxoleinik
+    from hjlab.core import PotentialField
+
+    pot = tmp_path / "z.json"
+    cli_main(["potential", "--kind", "zero", "--beta", "2.0", "--out", str(pot)])
+    args = ["kernel", "--potential", str(pot), "--t1", "0", "--t2", "1",
+            "--x-min", "0", "--x-max", "2", "--dx", "0.25", "--dt", "0.125",
+            "--v-max", "6", "--out", str(tmp_path / "k.csv")]
+    capsys.readouterr()
+    fine = list(args)
+    fine[fine.index("--dx") + 1] = "0.0002"                     # 10001 nodes
+    assert cli_main(fine) == 2
+    assert "budget" in capsys.readouterr().err
+
+    sweep = hjlab.laxoleinik.solve_dp_batched
+
+    def nan_start(U, g, S0, p):
+        S0 = S0.copy()
+        S0[1, 0] = np.nan
+        return sweep(U, g, S0, p)
+
+    monkeypatch.setattr(hjlab.laxoleinik, "solve_dp_batched", nan_start)
+    assert cli_main(args) == 2
+    assert "is not a number" in capsys.readouterr().err
+    monkeypatch.setattr(hjlab.laxoleinik, "solve_dp_batched", sweep)
+
+    nan_field = PotentialField(eval_fn=lambda x, t: np.where(t > 0.5, np.nan, 0.0 * x),
+                               grad_fn=lambda x, t: 0.0 * x, bound=1.0)
+    monkeypatch.setattr(hjlab.cli, "_load_potential", lambda path: nan_field)
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "NaN source value at slice 5" in err
+
+
 def test_cli_failed_runs_exit_1(tmp_path, capsys):
     # WindowTouchError on every margin retry: at margins 0.05, 0.1 and 0.2
     # the final slice starts above the lowest target (-0.65)

@@ -33,6 +33,49 @@ def test_zero_potential_kernel_matches_formula():
     assert up <= dev + 1e-12
 
 
+def test_kernel_golden_digest():
+    """Criterion 5's accelerating kernel at a coarse dx reproduces pinned
+    bytes: the whole-horizon kernel (every entry finite) and a one-unit
+    kernel (a band of finite entries, +inf outside it).  Any change to the
+    batched sweep's arithmetic shows here.  Recorded with numpy 2.4 /
+    scipy 1.17 on x86-64; another libm may round the potential's pow, log
+    and incomplete-gamma calls differently and would need its own pin."""
+    import hashlib
+
+    T = 50.0
+    U = accelerating_potential(0.0, 0.0, T, math.sqrt(2.0 / 5.0), 1.0, 2.0)
+    g = GridSpec(-18.0, 2.5, 0.25, 0.0, T, 0.5, 6.0)
+    h = hashlib.sha256()
+    for t1, t2 in ((0.0, T), (T - 1.0, T)):
+        h.update(kernel(U, t1, t2, g, P2).entries.tobytes())
+    assert h.hexdigest() == \
+        "a5fafa762bb4f88cc2e47563ecc2d604b9935054740a67f0b9adae44de85ff99"
+
+
+def test_kernel_byte_budget(monkeypatch):
+    """kernel() refuses a kernel whose two live rows x n_x float64 matrices
+    exceed the byte budget, before it allocates them."""
+    import tracemalloc
+
+    import hjlab.laxoleinik as lo
+
+    over = GridSpec(0.0, 8.192, 0.001, 0.0, 1.0, 0.1, 1.0)    # 8193 nodes
+    assert 2 * over.n_x ** 2 * 8 > lo._KERNEL_BYTE_BUDGET >= 2 * (over.n_x - 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the 1073741824-byte budget"):
+            kernel(zero_potential(), 0.0, 1.0, over, P2)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # the budget counts both matrices of the rows actually swept
+    g = small_grid(x_max=2.0)                  # 21 nodes; stride 2 sweeps 11 rows
+    monkeypatch.setattr(lo, "_KERNEL_BYTE_BUDGET", 2 * 11 * 21 * 8)
+    assert kernel(zero_potential(), 0.0, 1.0, g, P2, source_stride=2).entries.shape == (11, 21)
+    with pytest.raises(ValueError, match="budget"):
+        kernel(zero_potential(), 0.0, 1.0, g, P2)
+
+
 def test_diagonal_range_under_any_potential():
     g = small_grid()
     for U in (zero_potential(), constant_potential(1.0),

@@ -102,9 +102,10 @@ def test_three_point_hand_instance():
 
 
 @st.composite
-def toy_batched_instances(draw):
-    """Toy grid, tabulated kick potential and S0 rows (Dirac, finite or
-    partly +inf); the stencil ranges up to three nodes beyond the grid."""
+def toy_batched_instances(draw, max_rows=4):
+    """Toy grid, tabulated kick potential and up to max_rows S0 rows (Dirac,
+    finite or partly +inf); the stencil ranges up to three nodes beyond the
+    grid."""
     beta = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0]))
     n_x = draw(st.integers(2, 6))
     n_steps = draw(st.integers(1, 4))
@@ -122,7 +123,7 @@ def toy_batched_instances(draw):
     U = PotentialField(eval_fn=ev, grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                        bound=1.0)
     rows = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_rows))):
         kind = draw(st.sampled_from(["dirac", "finite", "partial"]))
         if kind == "dirac":
             row = np.full(n_x, np.inf)
@@ -148,6 +149,25 @@ def test_batched_sweep_equals_dp_and_enumeration(instance):
                      enumerate_paths(U, g, row, p)[0]):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(toy_batched_instances(max_rows=7))
+def test_batched_row_blocks_equal_dp_and_enumeration(instance):
+    """Row blocks of 1 and 3 rows split up to 7 rows and leave a remainder;
+    every block size gives the rows of solve_dp and enumerate_paths."""
+    U, g, p, S0 = instance
+    wants = [solve_dp(U, g, row, p).final_values for row in S0]
+    assert all(np.array_equal(w, enumerate_paths(U, g, row, p)[0])
+               for w, row in zip(wants, S0))
+    saved = minimizer._BATCH_ROWS
+    try:
+        for rows in (1, 3):
+            minimizer._BATCH_ROWS = rows
+            got = solve_dp_batched(U, g, S0, p)
+            assert got.tobytes() == np.array(wants).tobytes()
+    finally:
+        minimizer._BATCH_ROWS = saved
 
 
 @st.composite
@@ -250,15 +270,18 @@ def test_nan_source_value_raises():
     S0 = np.zeros(g.n_x)
     S0[2] = np.nan
     # a NaN initial value is a configuration error (ValueError, CLI exit 2);
-    # a NaN potential value fails the run (DomainError, CLI exit 1)
-    with pytest.raises(ValueError, match="S0 is not a number") as err:
-        solve_dp(zero_potential(), g, S0, P2)
-    assert not isinstance(err.value, DomainError)
-    for t_nan, k in ((-1.0, 0), (0.2, 1)):
-        U = PotentialField(eval_fn=lambda x, t, t_nan=t_nan: np.where(t > t_nan, np.nan, 0.0 * x),
-                           grad_fn=lambda x, t: 0.0 * x, bound=1.0)
-        with pytest.raises(DomainError, match=f"NaN source value at slice {k}"):
-            solve_dp(U, g, None, P2)
+    # a NaN potential value fails the run (DomainError, CLI exit 1); the
+    # batched sweep, where np.minimum would spread a NaN, agrees
+    for sweep in (lambda U, row: solve_dp(U, g, row, P2),
+                  lambda U, row: solve_dp_batched(U, g, np.vstack([np.zeros(g.n_x), row]), P2)):
+        with pytest.raises(ValueError, match="is not a number") as err:
+            sweep(zero_potential(), S0)
+        assert not isinstance(err.value, DomainError)
+        for t_nan, k in ((-1.0, 0), (0.2, 1)):
+            U = PotentialField(eval_fn=lambda x, t, t_nan=t_nan: np.where(t > t_nan, np.nan, 0.0 * x),
+                               grad_fn=lambda x, t: 0.0 * x, bound=1.0)
+            with pytest.raises(DomainError, match=f"NaN source value at slice {k}"):
+                sweep(U, np.zeros(g.n_x))
 
 
 def test_out_of_range_target_raises():

@@ -56,6 +56,30 @@ def test_pace_examples():
         pace(9.0, c8)
 
 
+def test_pace_value_scalar_path_equals_array_path():
+    """A Python or numpy float takes the scalar path of PaceCurve.value; it
+    gives the array path's bits, and its range errors, on every input."""
+    rng = np.random.default_rng(5)
+    for K, T, beta in ((0.63, 50.0, 2.0), (1.3, 1000.0, 1.5), (0.9, 1e4, 3.0),
+                       (0.5, 60.0, 1.25)):
+        c = PaceCurve(K=K, T=T, beta=beta)
+        special = [0.0, -0.0, T, 1e-300, 5e-324, -1e-13, T * (1 + 1e-13),
+                   np.nextafter(T, 0.0), math.nan]
+        ss = np.concatenate([special, rng.uniform(0, T, 500), T * rng.uniform(0, 1, 500) ** 8])
+        with np.errstate(over="ignore"):
+            want = c.value(ss)
+            for s, w in zip(ss, want):
+                for arg in (float(s), s, np.asarray(s)):
+                    got = c.value(arg)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == w.tobytes()
+        assert c.value(7) == c.value(7.0) and c.value(0) == 0.0
+        for bad in (-1e-11, -1.0, T * (1 + 1e-11), math.inf, -math.inf):
+            for arg in (bad, np.float64(bad), np.array([bad])):
+                with pytest.raises(ValueError, match=rf"s outside \[0, T={T}\]"):
+                    c.value(arg)
+
+
 def test_pace_value_vs_quadrature_grid():
     for beta in GRID_BETAS:
         for frac in GRID_FRACTIONS:
