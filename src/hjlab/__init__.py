@@ -30,8 +30,6 @@ from .potentials import (
     bump,
     glued_potential,
     glued_schedule,
-    pace,
-    pace_energy_closed,
     pace_main_gap,
     pace_residue,
     pace_s2_gap,

@@ -161,7 +161,7 @@ def _cmd_minimize(args) -> int:
         raise ConfigError(f"--x {args.x} lies outside the domain [{x_lo:.6g}, {x_hi:.6g}]")
     grid = GridSpec(x_min=x_lo, x_max=x_hi, dx=args.dx, t1=args.t1,
                     t2=args.t2, dt=args.dt, v_max=v_max)
-    table = solve_dp(U, grid, None, p, keep_history=False)
+    table = solve_dp(U, grid, None, p)
     traj = backtrack(table, args.x)
     if args.refine_passes:
         traj = refine(traj, U, p, passes=args.refine_passes)

@@ -156,8 +156,8 @@ def zero_potential(beta: float = 2.0) -> PotentialField:
 
 
 def constant_potential(level: float, beta: float = 2.0) -> PotentialField:
-    if level < 0:
-        raise ValueError("constant potential level must be >= 0")
+    if not level >= 0:   # a NaN level fails this too
+        raise ValueError(f"constant potential level must be >= 0, got {level}")
     return PotentialField(
         eval_fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), level),
         grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),

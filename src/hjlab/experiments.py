@@ -3,9 +3,9 @@
 Builds potentials, runs the DP minimizer across horizons, measures terminal
 velocities against the (log T)^(2/beta) bounds, exercises every numerical
 lemma check, and assembles deterministic report objects (see reports.emit
-for serialization).  Independent horizons and seeds may run concurrently;
-reports are reduced in (T, seed) order so output bytes never depend on
-scheduling.
+for serialization).  Every horizon record comes from one path,
+_horizon_record.  Independent horizons may run concurrently; reports are
+reduced in (T, seed) order so output bytes never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class ScalingReport:
 
 def scaling_grid(cfg: ExperimentConfig, T: float, K: float,
                  x_targets: np.ndarray, margin: Optional[float] = None):
-    """Grid + co-moving window for one accelerating-potential horizon."""
+    """Grid with its co-moving window for one accelerating-potential horizon."""
     p = cfg.params
     margin = cfg.margin if margin is None else margin
     curve = PaceCurve(K=K, T=T, beta=cfg.beta)
@@ -193,28 +193,48 @@ def scaling_grid(cfg: ExperimentConfig, T: float, K: float,
     grid = GridSpec(x_min=-g_total - margin - 2.0, x_max=x_hi, dx=dx,
                     t1=0.0, t2=T, dt=dt, v_max=v_max)
     cap = max(40.0, cfg.detach_cap_factor * math.log(T) ** 2)
-    return comoving_window(curve, margin, grid, y=0.0, detach_cap=cap), curve, lb
+    return comoving_window(curve, margin, grid, y=0.0, detach_cap=cap)
 
 
-def _measure_targets(cfg, U, grid, x_targets, s_window):
-    """Solve once, then backtrack + refine + measure each terminal target."""
+def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
+                    x_targets, s_window: float, lower_bound: float = 0.0,
+                    seed: Optional[int] = None,
+                    extra: Optional[dict] = None) -> HorizonRecord:
+    """Solve once, then backtrack, refine and measure each terminal target.
+
+    v(T) is the median terminal speed; the lemma margins are the worst over
+    the targets (the beta = 2 progression margin is None at other beta)."""
     p = cfg.params
-    table = solve_dp(U, grid, None, p, keep_history=False)
+    table = solve_dp(U, grid, None, p)
     speeds, lows, highs = [], [], []
     wT_margins, prog_margins, prog_pairs = [], [], 0
     for xt in x_targets:
         traj = backtrack(table, float(xt))
         traj = refine(traj, U, p, passes=cfg.refine_passes)
         tv = terminal_velocity(traj, s_window, p)
-        speeds.append(tv.speed)
-        lows.append(tv.lo)
-        highs.append(tv.hi)
+        speeds.append(float(tv.speed))
+        lows.append(float(tv.lo))
+        highs.append(float(tv.hi))
         wT_margins.append(lemma_wT_margin(traj, p, grid.dx))
         if cfg.beta == 2.0:
             m, npair = progression_margins(traj, p, grid.dx)
             prog_margins.append(m)
             prog_pairs += npair
-    return table, speeds, lows, highs, wT_margins, prog_margins, prog_pairs
+    return HorizonRecord(
+        T=T, dx=grid.dx, dt=grid.dt_eff, s_window=s_window,
+        targets=[float(x) for x in x_targets],
+        speeds=speeds, bracket_lo=lows, bracket_hi=highs,
+        v=float(np.median(speeds)),
+        lower_bound=float(lower_bound),
+        # a glued stage ends at S_1 = 1 when Tbar <= 1; the bound needs T > 1
+        upper_bound_advisory=float(velocity_bound_upper(max(T, 1.01), p)),
+        wT_margin=float(min(wT_margins)),
+        progression_margin=(float(min(prog_margins)) if prog_margins else None),
+        progression_pairs=prog_pairs,
+        grid_slack=4.0 * grid.dx / s_window,
+        boundary_warning=bool(table.boundary_warning),
+        seed=seed, extra=extra or {},
+    )
 
 
 def _scaling_record(cfg: ExperimentConfig, T: float) -> HorizonRecord:
@@ -229,31 +249,14 @@ def _scaling_record(cfg: ExperimentConfig, T: float) -> HorizonRecord:
     # enlarge the margin and resolve when the certificate trips
     margin = cfg.margin
     for attempt in range(3):
-        wgrid, curve, lb = scaling_grid(cfg, T, K2, x_targets, margin=margin)
+        wgrid = scaling_grid(cfg, T, K2, x_targets, margin=margin)
         try:
-            table, speeds, lows, highs, wT_m, prog_m, prog_n = _measure_targets(
-                cfg, U, wgrid, x_targets, s_window)
-            break
+            return _horizon_record(cfg, T, U, wgrid, x_targets, s_window,
+                                   lower_bound=lb.bound)
         except WindowTouchError:
             if attempt == 2:
                 raise
             margin *= 2.0
-    slack = 4.0 * wgrid.dx / s_window
-    return HorizonRecord(
-        T=T, dx=wgrid.dx, dt=wgrid.dt_eff, s_window=s_window,
-        targets=[float(x) for x in x_targets],
-        speeds=[float(v) for v in speeds],
-        bracket_lo=[float(v) for v in lows],
-        bracket_hi=[float(v) for v in highs],
-        v=float(np.median(speeds)),
-        lower_bound=float(lb.bound),
-        upper_bound_advisory=float(velocity_bound_upper(T, p)),
-        wT_margin=float(min(wT_m)),
-        progression_margin=(float(min(prog_m)) if prog_m else None),
-        progression_pairs=prog_n,
-        grid_slack=float(slack),
-        boundary_warning=bool(table.boundary_warning),
-    )
 
 
 def _fit_exponent(records) -> dict:
@@ -284,14 +287,22 @@ def _onset(records) -> Optional[float]:
     return onset
 
 
-def _map_horizons(cfg, fn):
-    if cfg.threads == 1 or len(cfg.horizons) <= 1:
-        results = [fn(T) for T in cfg.horizons]
-    else:
-        workers = cfg.threads if cfg.threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(fn, cfg.horizons))
-    return results
+def _map_timed(fn, items, key=str, threads: int = 1):
+    """[fn(item) for item in items], on up to ``threads`` workers (0 = auto),
+    plus the wall time of each call under key(item) for the volatile
+    timings sidecar."""
+    walls = {}
+
+    def one(item):
+        t0 = time.monotonic()
+        out = fn(item)
+        walls[key(item)] = time.monotonic() - t0
+        return out
+
+    if threads == 1 or len(items) <= 1:
+        return [one(item) for item in items], walls
+    with ThreadPoolExecutor(max_workers=threads if threads > 0 else None) as ex:
+        return list(ex.map(one, items)), walls
 
 
 def run_scaling(cfg: ExperimentConfig) -> ScalingReport:
@@ -302,16 +313,9 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingReport:
     exponent (expected 2/beta)."""
     if cfg.kind != "scaling":
         raise ValueError("config kind must be 'scaling'")
-    walls = {}
-
-    def one(T):
-        t0 = time.monotonic()
-        rec = _scaling_record(cfg, T)
-        walls[str(T)] = time.monotonic() - t0
-        return rec
-
-    records = [r.to_dict() for r in sorted(_map_horizons(cfg, one),
-                                           key=lambda r: r.T)]
+    recs, walls = _map_timed(lambda T: _scaling_record(cfg, T), cfg.horizons,
+                             threads=cfg.threads)
+    records = [r.to_dict() for r in recs]
     fit = _fit_exponent(records)
     onset = _onset(records)
     vs = [r["v"] for r in records]
@@ -356,37 +360,16 @@ def run_periodic_control(cfg: ExperimentConfig) -> ScalingReport:
     preserved over 20 period steps)."""
     if cfg.kind != "periodic-control":
         raise ValueError("config kind must be 'periodic-control'")
-    p = cfg.params
     profile = cosine_profile(cfg.C, cfg.wavenumber)
     U = periodic_potential(profile, cfg.period, cfg.modulation, beta=cfg.beta)
-    walls = {}
 
     def one(T):
-        t0 = time.monotonic()
         grid, x_targets = _periodic_grid(cfg, T)
-        s_window = min(cfg.s_window_max, T / 20.0)
-        table, speeds, lows, highs, wT_m, prog_m, prog_n = _measure_targets(
-            cfg, U, grid, x_targets, s_window)
-        rec = HorizonRecord(
-            T=T, dx=grid.dx, dt=grid.dt_eff, s_window=s_window,
-            targets=[float(x) for x in x_targets],
-            speeds=[float(v) for v in speeds],
-            bracket_lo=[float(v) for v in lows],
-            bracket_hi=[float(v) for v in highs],
-            v=float(np.median(speeds)),
-            lower_bound=0.0,
-            upper_bound_advisory=float(velocity_bound_upper(T, p)),
-            wT_margin=float(min(wT_m)),
-            progression_margin=(float(min(prog_m)) if prog_m else None),
-            progression_pairs=prog_n,
-            grid_slack=4.0 * grid.dx / s_window,
-            boundary_warning=bool(table.boundary_warning),
-        )
-        walls[str(T)] = time.monotonic() - t0
-        return rec
+        return _horizon_record(cfg, T, U, grid, x_targets,
+                               min(cfg.s_window_max, T / 20.0))
 
-    records = [r.to_dict() for r in sorted(_map_horizons(cfg, one),
-                                           key=lambda r: r.T)]
+    recs, walls = _map_timed(one, cfg.horizons, threads=cfg.threads)
+    records = [r.to_dict() for r in recs]
     # no-growth statistic: max over tested terminal x per horizon
     vmax = [max(r["speeds"]) for r in records]
     ratio = vmax[-1] / vmax[-2] if len(vmax) >= 2 and vmax[-2] > 0 else float("nan")
@@ -456,12 +439,9 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
     K2 = (cfg.C * cfg.beta / 5.0) ** (1.0 / cfg.beta)
     full = glued_schedule(cfg.glue_epsilon, cfg.glue_Tbar, K2, cfg.C, cfg.beta,
                           cfg.glue_n_max, cap=cfg.glue_cap)
-    records = []
-    walls = {}
-    continuity_max = 0.0
-    rng = np.random.default_rng(0)
-    for n in range(1, cfg.glue_n_max + 1):
-        t0 = time.monotonic()
+    rng = np.random.default_rng(0)   # drawn stage after stage: keep serial
+
+    def stage(n):
         sched = glued_schedule(cfg.glue_epsilon, cfg.glue_Tbar, K2, cfg.C,
                                cfg.beta, n, cap=cfg.glue_cap)
         U = glued_potential(sched)
@@ -486,37 +466,26 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         wgrid = comoving_window(edge_offset, cfg.margin, grid, y=0.0,
                                 detach_cap=cap)
         s_window = min(cfg.s_window_max, sched.stages[0][0] / 10.0)
-        table, speeds, lows, highs, wT_m, prog_m, prog_n = _measure_targets(
-            cfg, U, wgrid, x_targets, s_window)
+        rec = _horizon_record(
+            cfg, float(S_n), U, wgrid, x_targets, s_window,
+            extra={"stage": n, "T_stage": float(T_top),
+                   "stages": [list(map(float, st)) for st in sched.stages],
+                   "capped": bool(sched.capped)})
 
         # stage-boundary continuity certified in situ (+-1e-12 probes keep the
         # field's own O(eps log eps) time variation below the 1e-10 budget)
+        defect = 0.0
         for (_, S_b, _) in sched.stages[:-1]:
             xs = rng.uniform(grid.x_min, grid.x_max, 100)
             lft = np.asarray(U.value(xs, -S_b - 1e-12))
             rgt = np.asarray(U.value(xs, -S_b + 1e-12))
-            continuity_max = max(continuity_max, float(np.max(np.abs(lft - rgt))))
+            defect = max(defect, float(np.max(np.abs(lft - rgt))))
+        return rec.to_dict(), defect
 
-        records.append(HorizonRecord(
-            T=float(S_n), dx=grid.dx, dt=grid.dt_eff, s_window=s_window,
-            targets=[float(x) for x in x_targets],
-            speeds=[float(v) for v in speeds],
-            bracket_lo=[float(v) for v in lows],
-            bracket_hi=[float(v) for v in highs],
-            v=float(np.median(speeds)),
-            lower_bound=0.0,
-            upper_bound_advisory=float(velocity_bound_upper(max(S_n, 1.01), p)),
-            wT_margin=float(min(wT_m)),
-            progression_margin=(float(min(prog_m)) if prog_m else None),
-            progression_pairs=prog_n,
-            grid_slack=4.0 * grid.dx / s_window,
-            boundary_warning=bool(table.boundary_warning),
-            extra={"stage": n, "T_stage": float(T_top),
-                   "stages": [list(map(float, st)) for st in sched.stages],
-                   "capped": bool(sched.capped)},
-        ).to_dict())
-        walls[f"stage{n}"] = time.monotonic() - t0
-
+    stages, walls = _map_timed(stage, range(1, cfg.glue_n_max + 1),
+                               key=lambda n: f"stage{n}")
+    records = [rec for rec, _ in stages]
+    continuity_max = max([0.0] + [defect for _, defect in stages])
     vs = [r["v"] for r in records]
     flags = {
         "per_stage_increase": all(b > a for a, b in zip(vs, vs[1:])),
@@ -626,7 +595,7 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
         v_max = 6.0
         grid = GridSpec(x_min=-10.0, x_max=10.0, dx=0.1, t1=-20.0, t2=0.0,
                         dt=cfg.stencil * 0.1 / v_max, v_max=v_max)
-        table = solve_dp(U, grid, None, p, keep_history=False)
+        table = solve_dp(U, grid, None, p)
         traj = backtrack(table, float(rng.uniform(-3, 3)))
         worst = min(worst, lemma_wT_margin(traj, p, grid.dx))
         trajs.append(traj)
@@ -704,45 +673,29 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
         raise ValueError("config kind must be 'conjecture-probe'")
     if len(cfg.seeds) < 5:
         raise ValueError("conjecture probe needs at least 5 seeds")
-    p = cfg.params
     T_max = max(cfg.horizons)
-    walls = {}
-    records = []
-    for seed in sorted(cfg.seeds):
-        t0 = time.monotonic()
+
+    def seed_records(seed):
         rng = np.random.default_rng(seed)
         profiles = [cosine_profile(1.0, rng.uniform(0.3, 2.0), rng.uniform(0, 6.28))
                     for _ in range(cfg.n_profiles)]
         U = random_potential(seed, profiles, cfg.correlation_time,
                              t_min=-T_max, t_max=0.0, C=cfg.C, beta=cfg.beta)
         x_targets = np.array([0.0, 1.0, 2.0])
+        records = []
         for T in cfg.horizons:
             v_max = 6.0
             dx = cfg.dx_max * 2
             grid = GridSpec(x_min=-14.0, x_max=14.0, dx=dx, t1=-T, t2=0.0,
                             dt=cfg.stencil * dx / v_max, v_max=v_max)
             s_window = min(cfg.s_window_max, T / 20.0)
-            table, speeds, lows, highs, wT_m, prog_m, prog_n = _measure_targets(
-                cfg, U, grid, x_targets, s_window)
-            records.append(HorizonRecord(
-                T=T, dx=grid.dx, dt=grid.dt_eff, s_window=s_window,
-                targets=[float(x) for x in x_targets],
-                speeds=[float(v) for v in speeds],
-                bracket_lo=[float(v) for v in lows],
-                bracket_hi=[float(v) for v in highs],
-                v=float(np.median(speeds)),
-                lower_bound=0.0,
-                upper_bound_advisory=float(velocity_bound_upper(T, p)),
-                wT_margin=float(min(wT_m)),
-                progression_margin=(float(min(prog_m)) if prog_m else None),
-                progression_pairs=prog_n,
-                grid_slack=4.0 * grid.dx / s_window,
-                boundary_warning=bool(table.boundary_warning),
-                seed=seed,
-            ).to_dict())
-        walls[str(seed)] = time.monotonic() - t0
+            records.append(_horizon_record(cfg, T, U, grid, x_targets, s_window,
+                                           seed=seed).to_dict())
+        return records
 
-    records.sort(key=lambda r: (r["T"], r["seed"]))
+    per_seed, walls = _map_timed(seed_records, sorted(cfg.seeds))
+    records = sorted((r for recs in per_seed for r in recs),
+                     key=lambda r: (r["T"], r["seed"]))
     # plateau statistic per seed: v at the largest horizon over v at the smallest
     plateau = {}
     T_lo = min(cfg.horizons)

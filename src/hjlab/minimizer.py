@@ -42,8 +42,6 @@ __all__ = [
     "enumerate_paths",
 ]
 
-# keep whole per-slice value history only below this many total cells
-_HISTORY_CELL_LIMIT = 8_000_000
 # solve_dp relaxes slices narrower than this by a row-wise argmin and wider
 # ones by a running scan over shifted rows; on recorded scaling-run slices
 # (stencil 30) the two cost the same per cell-offset at 2500-2750 targets
@@ -158,7 +156,7 @@ class ValueTable:
     """Result of a DP sweep: final-slice values plus per-step argmin offsets.
 
     offsets[k][j] is the signed source offset (source = target + offset) used
-    when filling slice k+1; values_history is kept only on small instances.
+    when filling slice k+1.
     """
 
     grid: GridSpec
@@ -166,15 +164,7 @@ class ValueTable:
     offsets: list
     s0: np.ndarray
     boundary_warning: bool = False
-    values_history: Optional[list] = None
     meta: dict = field(default_factory=dict)
-
-    def slice_values(self, k: int) -> np.ndarray:
-        if k == self.grid.n_steps:
-            return self.final_values
-        if self.values_history is None:
-            raise ValueError("value history was not kept for this instance")
-        return self.values_history[k]
 
     def value_at(self, x: float) -> float:
         """Final value at the final-slice node nearest x (see
@@ -228,7 +218,7 @@ def _priority_scan(buf, W, half, off_dtype):
 
 def solve_dp(U: PotentialField, grid: GridSpec,
              S0: Union[None, Callable, np.ndarray],
-             p: ModelParams, keep_history: Optional[bool] = None) -> ValueTable:
+             p: ModelParams) -> ValueTable:
     """Bellman sweep for the kick-form discrete action.
 
     values[k+1][j] = min over |x_i - x_j| <= v_max*dt of
@@ -279,11 +269,6 @@ def solve_dp(U: PotentialField, grid: GridSpec,
         # every slice must offer at least one admissible transition pair
         if np.any(w.lo[1:] > w.hi[:-1] + m) or np.any(w.hi[1:] < w.lo[:-1] - m):
             raise DomainError("window excludes all sources for every target slice")
-
-    total_cells = sum(hi - lo + 1 for lo, hi in bounds)
-    if keep_history is None:
-        keep_history = total_cells <= _HISTORY_CELL_LIMIT
-    history = [prev.copy()] if keep_history else None
 
     half = _transition_costs(grid, p.beta)[m:]     # cost of offsets 0..m
     off_dtype = np.int8 if m <= 127 else np.int16
@@ -343,11 +328,9 @@ def solve_dp(U: PotentialField, grid: GridSpec,
 
         offsets.append(off)
         prev = best
-        if keep_history:
-            history.append(prev.copy())
 
     return ValueTable(grid=grid, final_values=prev, offsets=offsets, s0=s0,
-                      boundary_warning=boundary_warning, values_history=history,
+                      boundary_warning=boundary_warning,
                       meta={"potential": dict(U.spec), "beta": p.beta, "C": p.C})
 
 

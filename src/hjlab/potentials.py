@@ -23,8 +23,6 @@ from .core import PotentialField
 __all__ = [
     "bump",
     "PaceCurve",
-    "pace",
-    "pace_energy_closed",
     "pace_residue",
     "pace_main_gap",
     "pace_s2_gap",
@@ -188,15 +186,6 @@ class PaceCurve:
             0.0, s, epsabs=0.0, epsrel=tol, limit=400, points=[0.0, s],
         )
         return val
-
-
-def pace(s, curve: PaceCurve):
-    """(g(s), g'(s)) for 0 <= s <= T."""
-    return curve.value(s), curve.deriv(s)
-
-
-def pace_energy_closed(s: float, curve: PaceCurve) -> float:
-    return curve.energy_closed(s)
 
 
 def pace_residue(s: float, curve: PaceCurve):

@@ -53,7 +53,7 @@ def random_minimizer_sweep(params2):
         dx = 0.1
         grid = GridSpec(x_min=-10.0, x_max=10.0, dx=dx, t1=-20.0, t2=0.0,
                         dt=24 * dx / v_max, v_max=v_max)
-        table = solve_dp(U, grid, None, params2, keep_history=False)
+        table = solve_dp(U, grid, None, params2)
         traj = backtrack(table, float(rng.uniform(-4, 4)))
         margins.append(lemma_wT_margin(traj, params2, dx))
         trajs.append(traj)

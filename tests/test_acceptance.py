@@ -314,7 +314,7 @@ def test_path_action_grad_equals_oracle(kind):
 def _polished_minimizer(U, grid, x_target, grad_tol=1e-8):
     """Stationary PL minimizer: DP init, jitter relaxation, polish to a
     gradient-norm criterion (up to 8 rounds)."""
-    tab = solve_dp(U, grid, None, P2, keep_history=False)
+    tab = solve_dp(U, grid, None, P2)
     tr = backtrack(tab, x_target)
     tr = refine(tr, U, P2, passes=30, free_left=True)
     for _ in range(8):

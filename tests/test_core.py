@@ -187,6 +187,14 @@ def test_certify_potential_bounds():
     assert not certify_potential(bad, (-1, 1), (0, 1), n=100).ok
 
 
+def test_constant_potential_rejects_negative_and_nan_level():
+    # NaN < 0 and NaN >= 0 are both false: the check must reject NaN itself
+    for level in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match=f"level must be >= 0, got {level}"):
+            constant_potential(level)
+    assert constant_potential(0.0).bound == 0.0
+
+
 def test_time_slice_default_path():
     Uc = constant_potential(0.3)
     f = Uc.time_slice(np.array([0.0, 1.0]))

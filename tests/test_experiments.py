@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,14 @@ from hjlab.cli import main as cli_main
 from hjlab.experiments import (ExperimentConfig, ScalingReport,
                                run_conjecture_probe, run_lemma_suite, run_scaling)
 from hjlab.reports import canonical_json, emit, report_csv, report_svg
+
+
+def _report_digest(report) -> dict:
+    """SHA-256 of a report's canonical JSON (without out_dir) and its CSV."""
+    d = report.to_dict()
+    d["config"] = {k: v for k, v in d["config"].items() if k != "out_dir"}
+    return {"json": hashlib.sha256(canonical_json(d).encode()).hexdigest(),
+            "csv": hashlib.sha256(report_csv(report).encode()).hexdigest()}
 
 
 def test_config_validation():
@@ -100,6 +109,10 @@ def test_conjecture_probe_deterministic(tmp_path):
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1["config"].pop("out_dir"), d2["config"].pop("out_dir")
     assert canonical_json(d1) == canonical_json(d2)
+    # pinned bytes of the probe's horizon records (see test_scaling_golden_digest)
+    assert _report_digest(r1) == {
+        "json": "cf6d83b7690b0615d359e8305db569f28e2e148094ef5270ccc37725df7e4422",
+        "csv": "971d4d19c81664240360bee2adf1d48f0f2850e525407a2836adad78cb7b95b9"}
     with pytest.raises(ValueError):
         run_conjecture_probe(ExperimentConfig(kind="conjecture-probe",
                                               horizons=[20.0, 50.0],
@@ -181,6 +194,22 @@ def test_scaling_golden_digest(tmp_path):
     assert digest == {
         "json": "fa9a88a71a2ce5d8bb0997b7dc3c9e118104c812782bd80c6e04f4cf8d6c6def",
         "csv": "567870cd17c0837def4e2c9b6f842c2fcce8b421d5c6e131472bb09c300b996b"}
+
+
+def test_periodic_golden_digest(periodic_report):
+    """Pinned CI-profile periodic-control bytes (horizon records and the
+    operator suite); same platform caveat as test_scaling_golden_digest."""
+    assert _report_digest(periodic_report) == {
+        "json": "1afdf21a3f64f0c82b102c62b31976c2506961cfd922c517939e51ecaeedb2e1",
+        "csv": "0be5b5c541f099796e5d3ba1ee545ef2174be6bb83fe2aa29d569fb7d68e6e72"}
+
+
+def test_glued_golden_digest(glued_report):
+    """Pinned CI-profile glued-demo bytes (per-stage records, continuity
+    note); same platform caveat as test_scaling_golden_digest."""
+    assert _report_digest(glued_report) == {
+        "json": "e498c78c994ce038edbdd891b63bfd3854a9f371b802a62c1f2a599cf8ca00bf",
+        "csv": "68a17521446e52b4e31425ce5307b9283a161dab90beb73a2323de877929fdd1"}
 
 
 def test_lemma_suite_emit_deterministic(tmp_path):
@@ -306,6 +335,18 @@ def test_cli_kernel_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli_main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "NaN source value at slice 5" in err
+
+
+def test_cli_kernel_nan_constant_level_exit_2(tmp_path, capsys):
+    # json.load accepts NaN; the spec's own level check must name it
+    pot = tmp_path / "c.json"
+    pot.write_text('{"kind": "constant", "beta": 2.0, "level": NaN}')
+    assert cli_main(["kernel", "--potential", str(pot), "--t1", "0", "--t2", "1",
+                     "--x-min", "0", "--x-max", "2", "--dx", "0.25", "--dt", "0.125",
+                     "--out", str(tmp_path / "k.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "constant potential level must be >= 0, got nan" in err
+    assert "C must be" not in err
 
 
 def test_cli_failed_runs_exit_1(tmp_path, capsys):

@@ -57,10 +57,15 @@ def test_solve_dp_zero_potential():
 
 
 def test_solve_dp_constant_potential():
+    # the value after k slices is the final value of a k-slice solve
     g = GridSpec(x_min=-1, x_max=1, dx=0.5, t1=0, t2=1, dt=0.25, v_max=5)
-    tab = solve_dp(constant_potential(0.7), g, None, P2, keep_history=True)
-    for k in range(g.n_steps + 1):
-        assert np.allclose(tab.slice_values(k), -0.7 * k * g.dt_eff)
+    tab = solve_dp(constant_potential(0.7), g, None, P2)
+    assert np.all(tab.s0 == 0.0)
+    for k in range(1, g.n_steps + 1):
+        gk = GridSpec(x_min=-1, x_max=1, dx=0.5, t1=0, t2=k * 0.25, dt=0.25, v_max=5)
+        assert gk.n_steps == k
+        tab_k = solve_dp(constant_potential(0.7), gk, None, P2)
+        assert np.allclose(tab_k.final_values, -0.7 * k * gk.dt_eff)
     tr = backtrack(tab, -1.0)
     assert np.all(tr.positions == -1.0)
 
@@ -338,17 +343,17 @@ def _accel_setup(T, margin=8.0, stencil=24, dx=None):
 def test_windowed_equals_full_and_detach_cap():
     T = 50.0
     U, curve, grid, lb = _accel_setup(T)
-    full = solve_dp(U, grid, None, P2, keep_history=False)
+    full = solve_dp(U, grid, None, P2)
     tr_full = backtrack(full, 0.0)
 
     wgrid = comoving_window(curve, 8.0, grid)
-    win = solve_dp(U, wgrid, None, P2, keep_history=False)
+    win = solve_dp(U, wgrid, None, P2)
     tr_win = backtrack(win, 0.0)
     assert np.array_equal(tr_full.positions, tr_win.positions)
     assert full.value_at(0.0) == win.value_at(0.0)
 
     capped = comoving_window(curve, 8.0, grid, detach_cap=20.0)
-    cap_tab = solve_dp(U, capped, None, P2, keep_history=False)
+    cap_tab = solve_dp(U, capped, None, P2)
     tr_cap = backtrack(cap_tab, 0.0)
     assert np.array_equal(tr_full.positions, tr_cap.positions)
 
@@ -361,7 +366,7 @@ def test_window_touch_error():
     T = 50.0
     U, curve, grid, lb = _accel_setup(T)
     tight = comoving_window(curve, 1.9, grid)   # below the bump width
-    tab = solve_dp(U, tight, None, P2, keep_history=False)
+    tab = solve_dp(U, tight, None, P2)
     with pytest.raises(WindowTouchError):
         backtrack(tab, 0.0)
 
@@ -403,7 +408,7 @@ def test_refine_reduces_el_residual():
     T = 50.0
     U, curve, grid, lb = _accel_setup(T)
     wgrid = comoving_window(curve, 8.0, grid)
-    tab = solve_dp(U, wgrid, None, P2, keep_history=False)
+    tab = solve_dp(U, wgrid, None, P2)
     tr = backtrack(tab, 0.0)
     out = refine(tr, U, P2, passes=8)
     r0 = np.max(np.abs(el_residual(tr, U, P2)))
@@ -440,7 +445,7 @@ def test_terminal_velocity_cross_estimators_T200():
     U, curve, grid, lb = _accel_setup(T, margin=10.0, stencil=30)
     wgrid = comoving_window(curve, 10.0, grid,
                             detach_cap=max(40.0, 4 * math.log(T) ** 2))
-    tab = solve_dp(U, wgrid, None, P2, keep_history=False)
+    tab = solve_dp(U, wgrid, None, P2)
     tr = refine(backtrack(tab, 0.0), U, P2, passes=8)
     tv = terminal_velocity(tr, 0.5, P2)
     v_last = abs(tr.velocities[-1])
@@ -480,7 +485,7 @@ def test_free_left_transversality_first_order():
         U, curve, grid, lb = _accel_setup(T, margin=8.0, stencil=24, dx=0.02)
         g = GridSpec(grid.x_min, grid.x_max, grid.dx, grid.t1, grid.t2,
                      grid.dt * dt_scale, grid.v_max)
-        tab = solve_dp(U, g, None, P2, keep_history=False)
+        tab = solve_dp(U, g, None, P2)
         tr = refine(backtrack(tab, 0.0), U, P2, passes=20, free_left=True)
         v0[dt_scale] = abs(tr.velocities[0])
         assert v0[dt_scale] ** (P2.beta - 1.0) <= P2.C * g.dt_eff * 1.05 + 1e-12
@@ -491,7 +496,7 @@ def test_wT_lemma_and_progression_on_accelerating_run(random_minimizer_sweep):
     T = 50.0
     U, curve, grid, lb = _accel_setup(T)
     wgrid = comoving_window(curve, 8.0, grid)
-    tab = solve_dp(U, wgrid, None, P2, keep_history=False)
+    tab = solve_dp(U, wgrid, None, P2)
     tr = backtrack(tab, 0.0)
     assert lemma_wT_margin(tr, P2, grid.dx) >= 0.0
     margin, pairs = progression_margins(tr, P2, grid.dx)

@@ -11,8 +11,8 @@ from hjlab.potentials import (FEASIBLE_HORIZON_MAX, GluedSchedule, PaceCurve,
                               _bump_grad, _bump_value,
                               ScheduleOverflowError, accelerating_potential,
                               bump, cosine_profile, glued_potential,
-                              glued_schedule, pace, pace_energy_closed,
-                              pace_main_gap, pace_residue, pace_s2_gap,
+                              glued_schedule, pace_main_gap, pace_residue,
+                              pace_s2_gap,
                               periodic_potential, potential_from_spec,
                               random_potential)
 
@@ -43,17 +43,14 @@ def test_bump_profile_constraints():
 
 def test_pace_examples():
     c = PaceCurve(K=1.0, T=math.e, beta=2.0)
-    g, gd = pace(1.0, c)
-    assert g == pytest.approx(2.0, rel=1e-12)
+    assert c.value(1.0) == pytest.approx(2.0, rel=1e-12)
     c8 = PaceCurve(K=1.0, T=8.0, beta=2.0)
-    g, gd = pace(8.0, c8)
-    assert g == pytest.approx(8.0, rel=1e-12)       # g_T(T) = K T Gamma(2)
-    assert gd == 0.0
-    g0, gd0 = pace(0.0, c8)
-    assert g0 == 0.0
-    assert gd0 == pytest.approx(math.log(8.0) ** 1.0)
+    assert c8.value(8.0) == pytest.approx(8.0, rel=1e-12)   # g_T(T) = K T Gamma(2)
+    assert c8.deriv(8.0) == 0.0
+    assert c8.value(0.0) == 0.0
+    assert c8.deriv(0.0) == pytest.approx(math.log(8.0) ** 1.0)
     with pytest.raises(ValueError):
-        pace(9.0, c8)
+        c8.value(9.0)
 
 
 def test_pace_value_scalar_path_equals_array_path():
@@ -93,15 +90,15 @@ def test_pace_value_vs_quadrature_grid():
 
 def test_pace_energy_closed_examples_and_oracle():
     c = PaceCurve(K=1.0, T=8.0, beta=2.0)
-    assert pace_energy_closed(8.0, c) == pytest.approx(8.0)
-    assert pace_energy_closed(8.0 / math.e, c) == pytest.approx(5 * 8.0 / (2 * math.e))
+    assert c.energy_closed(8.0) == pytest.approx(8.0)
+    assert c.energy_closed(8.0 / math.e) == pytest.approx(5 * 8.0 / (2 * math.e))
     with pytest.raises(ValueError):
-        pace_energy_closed(0.0, c)
+        c.energy_closed(0.0)
     for beta in GRID_BETAS:
         for frac in GRID_FRACTIONS:
             c = PaceCurve(K=0.9, T=1e4, beta=beta)
             s = frac * 1e4
-            assert pace_energy_closed(s, c) == pytest.approx(c.energy_quad(s), rel=1e-8)
+            assert c.energy_closed(s) == pytest.approx(c.energy_quad(s), rel=1e-8)
 
 
 def test_pace_residue_beta2_and_bounds():
