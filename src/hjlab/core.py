@@ -109,7 +109,6 @@ class PotentialField:
     grad_fn: Callable
     bound: float
     support_hint: Optional[Callable] = None
-    kind: str = "custom"
     spec: dict = field(default_factory=dict)
     time_slice_fn: Optional[Callable] = None
     grad_slice_fn: Optional[Callable] = None
@@ -150,7 +149,6 @@ def zero_potential(beta: float = 2.0) -> PotentialField:
         eval_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         bound=0.0,
-        kind="zero",
         spec={"kind": "zero", "beta": beta},
     )
 
@@ -162,7 +160,6 @@ def constant_potential(level: float, beta: float = 2.0) -> PotentialField:
         eval_fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), level),
         grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
         bound=level,
-        kind="constant",
         spec={"kind": "constant", "beta": beta, "level": level},
     )
 

@@ -23,10 +23,10 @@ from .core import ModelParams
 from .laxoleinik import (GridFunction, domination_defect, kernel,
                          kernel_bounds_defect, lipschitz_in_large_constant,
                          minplus_apply)
-from .minimizer import (GridSpec, WindowTouchError, backtrack, comoving_window,
-                        lemma_wT_margin, progression_margins, refine, solve_dp,
-                        terminal_velocity, velocity_bound_lower,
-                        velocity_bound_upper)
+from .minimizer import (DomainError, GridSpec, WindowTouchError, backtrack,
+                        comoving_window, lemma_wT_margin, progression_margins,
+                        refine, solve_dp, terminal_velocity,
+                        velocity_bound_lower, velocity_bound_upper)
 from .potentials import (PaceCurve, accelerating_potential, cosine_profile,
                          glued_potential, glued_schedule, pace_main_gap,
                          pace_residue, pace_s2_gap, periodic_potential,
@@ -109,7 +109,7 @@ class ExperimentConfig:
         self.horizons = [float(T) for T in self.horizons]
         if any(T <= math.e for T in self.horizons):
             raise ValueError("all horizons must exceed e (log T > 1)")
-        if sorted(self.horizons) != self.horizons:
+        if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             raise ValueError("horizons must be strictly increasing")
 
     @property
@@ -137,7 +137,6 @@ class HorizonRecord:
     progression_margin: Optional[float]
     progression_pairs: int
     grid_slack: float
-    boundary_warning: bool
     seed: Optional[int] = None
     extra: dict = field(default_factory=dict)
 
@@ -196,6 +195,27 @@ def scaling_grid(cfg: ExperimentConfig, T: float, K: float,
     return comoving_window(curve, margin, grid, y=0.0, detach_cap=cap)
 
 
+def _backtrack_inside(table, x: float):
+    """backtrack(table, x), failing the run with :class:`DomainError` when
+    the path sits on the first or last grid node at any slice before the
+    last.  Every grid truncates the unbounded line, and a minimizer that
+    reaches the truncation may have been clipped there, so whatever it
+    measures is not the unbounded problem's answer.  The final node is the
+    chosen target and is exempt, as in backtrack's window check."""
+    traj = backtrack(table, x)
+    grid = table.grid
+    x_last = grid.x_min + grid.dx * (grid.n_x - 1)   # backtrack's node formula
+    path = traj.positions[:-1]
+    on_edge = (path <= grid.x_min) | (path >= x_last)
+    if on_edge.any():
+        k = int(np.argmax(on_edge))
+        raise DomainError(
+            f"the minimizer ending at x={x} reaches the grid edge "
+            f"x={path[k]} at t={traj.times[k]}: the truncated domain clipped "
+            "it; widen the grid")
+    return traj
+
+
 def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
                     x_targets, s_window: float, lower_bound: float = 0.0,
                     seed: Optional[int] = None,
@@ -209,7 +229,7 @@ def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
     speeds, lows, highs = [], [], []
     wT_margins, prog_margins, prog_pairs = [], [], 0
     for xt in x_targets:
-        traj = backtrack(table, float(xt))
+        traj = _backtrack_inside(table, float(xt))
         traj = refine(traj, U, p, passes=cfg.refine_passes)
         tv = terminal_velocity(traj, s_window, p)
         speeds.append(float(tv.speed))
@@ -232,7 +252,6 @@ def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
         progression_margin=(float(min(prog_margins)) if prog_margins else None),
         progression_pairs=prog_pairs,
         grid_slack=4.0 * grid.dx / s_window,
-        boundary_warning=bool(table.boundary_warning),
         seed=seed, extra=extra or {},
     )
 
@@ -596,7 +615,7 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
         grid = GridSpec(x_min=-10.0, x_max=10.0, dx=0.1, t1=-20.0, t2=0.0,
                         dt=cfg.stencil * 0.1 / v_max, v_max=v_max)
         table = solve_dp(U, grid, None, p)
-        traj = backtrack(table, float(rng.uniform(-3, 3)))
+        traj = _backtrack_inside(table, float(rng.uniform(-3, 3)))
         worst = min(worst, lemma_wT_margin(traj, p, grid.dx))
         trajs.append(traj)
     add("wT-lemma-random-potentials", {"count": 50}, worst, worst >= 0.0)

@@ -13,7 +13,7 @@ backtracked trajectories never touch window edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -51,6 +51,9 @@ _DP_SCAN_WIDTH = 2600
 # rows cost the same per cell-offset, fewer rows pay per-call overhead and
 # 192 or more spill the block's three arrays out of L2
 _BATCH_ROWS = 128
+# golden-section steps per refine line search: the bracket shrinks by
+# 0.618^42, about 2e-9 of its width
+_GOLDEN_ITERS = 42
 
 
 class DomainError(ValueError):
@@ -162,9 +165,6 @@ class ValueTable:
     grid: GridSpec
     final_values: np.ndarray
     offsets: list
-    s0: np.ndarray
-    boundary_warning: bool = False
-    meta: dict = field(default_factory=dict)
 
     def value_at(self, x: float) -> float:
         """Final value at the final-slice node nearest x (see
@@ -262,7 +262,6 @@ def solve_dp(U: PotentialField, grid: GridSpec,
             raise ValueError("S0 array length must match the first slice window")
     if np.isnan(prev).any():
         raise ValueError("S0 is not a number at some node")
-    s0 = prev.copy()
 
     if grid.window is not None:
         w = grid.window
@@ -282,8 +281,6 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     flat = np.arange(W_narrow) * (2 * m + 2)
 
     offsets = []
-    boundary_warning = False
-
     for k in range(n_steps):
         lo_s, hi_s = bounds[k]
         lo_t, hi_t = bounds[k + 1]
@@ -317,21 +314,10 @@ def solve_dp(U: PotentialField, grid: GridSpec,
         # fully disconnected slice is a genuine misconfiguration.
         if not np.any(np.isfinite(best)) and np.any(np.isfinite(prev)):
             raise DomainError(f"window excludes all sources at slice {k + 1}")
-        # a finite target fed from a grid-edge node it does not sit on; only
-        # targets within m of an edge can reach one
-        for edge in (0, n_x - 1):
-            j0, j1 = max(0, edge - m - lo_t), min(W_t, edge + m + 1 - lo_t)
-            if j0 < j1 and not boundary_warning:
-                tgt = np.arange(lo_t + j0, lo_t + j1)
-                boundary_warning = bool(np.any((tgt + off[j0:j1] == edge) & (tgt != edge)
-                                               & np.isfinite(best[j0:j1])))
-
         offsets.append(off)
         prev = best
 
-    return ValueTable(grid=grid, final_values=prev, offsets=offsets, s0=s0,
-                      boundary_warning=boundary_warning,
-                      meta={"potential": dict(U.spec), "beta": p.beta, "C": p.C})
+    return ValueTable(grid=grid, final_values=prev, offsets=offsets)
 
 
 def solve_dp_batched(U: PotentialField, grid: GridSpec, S0_matrix: np.ndarray,
@@ -482,16 +468,16 @@ def enumerate_paths(U: PotentialField, grid: GridSpec, S0, p: ModelParams):
 
 
 def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
-           passes: int = 30, bracket: Optional[float] = None,
-           quad_points: int = 4, rel_tol: float = 1e-10,
-           golden_iters: int = 42, free_left: bool = False) -> Trajectory:
+           passes: int = 30, rel_tol: float = 1e-10,
+           free_left: bool = False) -> Trajectory:
     """Continuum sharpening: coordinate descent on interior node positions.
 
     Nodes are swept in red-black order (odd then even interior indices, whose
     local objectives are independent within a color) and each is moved by a
-    golden-section line search of the two adjacent segments' continuum action
-    (midpoint quadrature, times fixed).  Moves are accepted only when they
-    strictly decrease the local action, so the total action never increases.
+    golden-section line search, within twice the path's largest step, of the
+    two adjacent segments' continuum action (4-point midpoint quadrature,
+    times fixed).  Moves are accepted only when they strictly decrease the
+    local action, so the total action never increases.
     Stops after ``passes`` sweeps or when a sweep improves the action by less
     than ``rel_tol`` relatively.
 
@@ -504,9 +490,8 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
     n = len(x)
     if n < 3:
         return traj
-    pa = PathAction(traj.times, U, p, quad_points)
-    if bracket is None:
-        bracket = 2.0 * max(float(np.max(np.abs(np.diff(x)))), 1e-3 * float(np.max(pa.dt)))
+    pa = PathAction(traj.times, U, p)
+    bracket = 2.0 * max(float(np.max(np.abs(np.diff(x)))), 1e-3 * float(np.max(pa.dt)))
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     colors = [I for I in (np.arange(1, n - 1, 2), np.arange(2, n - 1, 2)) if len(I)]
     local = [pa.local(I) for I in colors]
@@ -524,7 +509,7 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
             d_ = a_ + gr * (b_ - a_)
             fc = f(x, c_)
             fd = f(x, d_)
-            for _ in range(golden_iters):
+            for _ in range(_GOLDEN_ITERS):
                 mask = fc < fd
                 old_c, old_d, old_fc, old_fd = c_, d_, fc, fd
                 b_ = np.where(mask, old_d, b_)
@@ -542,15 +527,14 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
                 x[I[accept]] = x_new[accept]
                 improved += float(np.sum((f0 - f_new)[accept]))
         if free_left:
-            improved += _free_left_step(x, pa, left_slice, bracket, gr,
-                                        golden_iters)
+            improved += _free_left_step(x, pa, left_slice, bracket, gr)
         if improved <= rel_tol * (abs(total) + 1.0):
             break
         total -= improved
     return traj.with_positions(x)
 
 
-def _free_left_step(x, pa, left_slice, bracket, gr, iters):
+def _free_left_step(x, pa, left_slice, bracket, gr):
     """Golden-section move of the free first node over its single segment."""
     beta, dt0, q = pa.p.beta, pa.dt[0], pa.q
 
@@ -564,7 +548,7 @@ def _free_left_step(x, pa, left_slice, bracket, gr, iters):
     c_ = b_ - gr * (b_ - a_)
     d_ = a_ + gr * (b_ - a_)
     fc, fd = f(c_), f(d_)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc < fd:
             b_, d_, fd = d_, c_, fc
             c_ = b_ - gr * (b_ - a_)
@@ -580,24 +564,22 @@ def _free_left_step(x, pa, left_slice, bracket, gr, iters):
     return 0.0
 
 
-def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams,
-                  iters: int = 120, quad_points: int = 4,
-                  free_left: bool = True, tol: float = 1e-11,
-                  trust: float = 0.25) -> Trajectory:
+def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams) -> Trajectory:
     """Drive the piecewise-linear action to stationarity (beta = 2).
 
     Solves grad A = 0 over node positions with a damped quasi-Newton
     iteration preconditioned by the kinetic tridiagonal (the potential's
     curvature contributes O(C dt^2) and is left to the damping).  Steps are
-    clipped nodewise to ``trust`` so the quadratic model never jumps across
+    clipped nodewise to 0.5 so the quadratic model never jumps across
     potential features (the step profile is 2 wide).  Coordinate descent
     alone stalls on the long-wavelength corner modes of fine grids; this
-    polish converges them in O(n) work per iteration.  Terminal position
-    stays pinned; with ``free_left`` the first node is a free unknown
-    (transversality), otherwise it is pinned too.  The action and its
-    gradient come from one :class:`~hjlab.core.PathAction` built for the
-    path's time grid, so the potential's time-only work (pace-curve values)
-    is done once per call rather than once per line-search step.
+    polish converges them in O(n) work per iteration.  Runs at most 400
+    iterations and stops once max |grad A| < 1e-11.  The terminal position
+    stays pinned and the first node is a free unknown (transversality).  The
+    action and its gradient come from one :class:`~hjlab.core.PathAction`
+    built for the path's time grid, so the potential's time-only work
+    (pace-curve values) is done once per call rather than once per
+    line-search step.
     """
     if p.beta != 2.0:
         raise ValueError("newton_polish implements the beta = 2 stationarity")
@@ -605,19 +587,15 @@ def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams,
     n = len(x)
     if n < 3:
         return traj
-    pa = PathAction(traj.times, U, p, quad_points)
+    pa = PathAction(traj.times, U, p)
     dt = pa.dt
-    lo = 0 if free_left else 1
 
-    # kinetic tridiagonal over the free unknowns x[lo : n-1]
-    m = (n - 1) - lo
-    main = np.zeros(m)
-    if lo == 0:
-        main[0] = 1.0 / dt[0]
-        main[1:] = 1.0 / dt[:m - 1] + 1.0 / dt[1:m]
-    else:
-        main[:] = 1.0 / dt[:m] + 1.0 / dt[1:m + 1]
-    off = -1.0 / dt[lo:lo + m - 1]
+    # kinetic tridiagonal over the free unknowns x[0 : n-1]
+    m = n - 1
+    main = np.empty(m)
+    main[0] = 1.0 / dt[0]
+    main[1:] = 1.0 / dt[:m - 1] + 1.0 / dt[1:m]
+    off = -1.0 / dt[:m - 1]
     ab = np.zeros((3, m))
     ab[0, 1:] = off
     ab[1] = main
@@ -627,16 +605,16 @@ def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams,
 
     f_cur = pa.action(x)
     slack = 1e-13 * (abs(f_cur) + 1.0)   # rounding allowance for acceptance
-    for _ in range(iters):
-        g = pa.grad(x)[lo:n - 1]
-        if np.max(np.abs(g)) < tol:
+    for _ in range(400):
+        g = pa.grad(x)[:m]
+        if np.max(np.abs(g)) < 1e-11:
             break
         step = solve_banded((1, 1), ab, g)
-        step = np.clip(step, -trust, trust)
+        step = np.clip(step, -0.5, 0.5)
         scale = 1.0
         for _ in range(30):
             x_new = x.copy()
-            x_new[lo:n - 1] -= scale * step
+            x_new[:m] -= scale * step
             f_new = pa.action(x_new)
             if f_new <= f_cur + slack:
                 x, f_cur = x_new, min(f_new, f_cur)

@@ -250,7 +250,7 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
     return PotentialField(
         eval_fn=lambda x, t: _slice(t, _bump_value)(x),
         grad_fn=lambda x, t: _slice(t, _bump_grad)(x),
-        bound=C, support_hint=support_hint, kind="accelerating",
+        bound=C, support_hint=support_hint,
         spec={"kind": "accelerating", "beta": beta, "C": C, "K": K,
               "t1": t1, "t2": t2, "y": y},
         time_slice_fn=lambda ts: _slice(ts, _bump_value),
@@ -386,8 +386,7 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
 
     spec = schedule.spec_dict()
     return PotentialField(eval_fn=_field(_bump_value), grad_fn=_field(_bump_grad),
-                          bound=C, support_hint=support_hint, kind="glued",
-                          spec=spec,
+                          bound=C, support_hint=support_hint, spec=spec,
                           time_slice_fn=lambda ts: _slice(ts, _bump_value),
                           grad_slice_fn=lambda ts: _slice(ts, _bump_grad))
 
@@ -456,7 +455,7 @@ def periodic_potential(profile: SpatialProfile, period: float,
     return PotentialField(
         eval_fn=lambda x, t: _slice(t, profile.value)(x),
         grad_fn=lambda x, t: _slice(t, profile.deriv)(x),
-        bound=profile.sup_value, kind="periodic",
+        bound=profile.sup_value,
         spec={"kind": "periodic", "beta": beta, "period": period,
               "modulation": modulation, "profile": dict(profile.spec)},
         time_slice_fn=lambda ts: _slice(ts, profile.value),
@@ -521,7 +520,6 @@ def random_potential(seed: int, spatial_profiles: Sequence[SpatialProfile],
     fld = PotentialField(
         eval_fn=lambda x, t: _slice(t, False)(x),
         grad_fn=lambda x, t: _slice(t, True)(x), bound=C,
-        kind="random",
         spec={"kind": "random", "beta": beta, "C": C, "seed": int(seed),
               "correlation_time": correlation_time,
               "t_min": t_min, "t_max": t_max,

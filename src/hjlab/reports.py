@@ -28,7 +28,7 @@ def canonical_json(obj) -> str:
 
 _CSV_COLUMNS = ["T", "seed", "dx", "dt", "s_window", "v", "lower_bound",
                 "upper_bound_advisory", "wT_margin", "progression_margin",
-                "grid_slack", "boundary_warning"]
+                "grid_slack"]
 
 
 def _fmt(v) -> str:

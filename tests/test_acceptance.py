@@ -318,7 +318,7 @@ def _polished_minimizer(U, grid, x_target, grad_tol=1e-8):
     tr = backtrack(tab, x_target)
     tr = refine(tr, U, P2, passes=30, free_left=True)
     for _ in range(8):
-        tr = newton_polish(tr, U, P2, iters=400, trust=0.5)
+        tr = newton_polish(tr, U, P2)
         if _action_grad_norm(tr, U) < grad_tol:
             break
     return tr

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,9 +9,13 @@ import sys
 import numpy as np
 import pytest
 
+from hjlab import reports
 from hjlab.cli import main as cli_main
-from hjlab.experiments import (ExperimentConfig, ScalingReport,
-                               run_conjecture_probe, run_lemma_suite, run_scaling)
+from hjlab.experiments import (ExperimentConfig, HorizonRecord, ScalingReport,
+                               _horizon_record, run_conjecture_probe,
+                               run_lemma_suite, run_scaling)
+from hjlab.minimizer import DomainError, GridSpec
+from hjlab.potentials import accelerating_potential
 from hjlab.reports import canonical_json, emit, report_csv, report_svg
 
 
@@ -29,6 +34,8 @@ def test_config_validation():
         ExperimentConfig(kind="scaling", horizons=[2.0, 50.0])   # T <= e
     with pytest.raises(ValueError):
         ExperimentConfig(kind="scaling", horizons=[50.0, 20.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ExperimentConfig(kind="scaling", horizons=[50.0, 50.0])
     with pytest.raises(ValueError):
         ExperimentConfig(kind="scaling", profile="huge")
     cfg = ExperimentConfig(kind="scaling", profile="large")
@@ -36,6 +43,24 @@ def test_config_validation():
     for margin in (0.0, -1.0):   # the window would cut the bump off: v = 0
         with pytest.raises(ValueError, match="margin"):
             ExperimentConfig(kind="scaling", margin=margin)
+
+
+def test_csv_columns_are_record_fields():
+    # report_csv writes "" for a missing key, so a column left behind by a
+    # deleted HorizonRecord field would pass unnoticed
+    fields = {f.name for f in dataclasses.fields(HorizonRecord)}
+    assert set(reports._CSV_COLUMNS) <= fields
+
+
+def test_path_on_grid_edge_fails_the_run():
+    # on x >= -30 the minimizers of this instance are clipped at the left
+    # edge; measured anyway they give speeds 3.633, 3.432, 3.209, which are
+    # not the unbounded line's answer
+    T = 50.0
+    U = accelerating_potential(0.0, 0.0, T, math.sqrt(2.0 / 5.0), 1.0, 2.0)
+    grid = GridSpec(-30.0, 2.0, 0.05, 0.0, T, 0.25, 6.0)
+    with pytest.raises(DomainError, match="grid edge"):
+        _horizon_record(ExperimentConfig(), T, U, grid, np.array([-0.5, 0.0, 0.5]), 0.5)
 
 
 def test_lemma_suite_passes():
@@ -57,7 +82,7 @@ def test_scaling_report_content(scaling_report):
         assert len(r["speeds"]) == 5
         assert r["v"] >= r["lower_bound"] - r["grid_slack"]
         assert r["v"] <= r["upper_bound_advisory"]
-        assert not r["boundary_warning"]
+    # no minimizer reached a grid edge: _horizon_record would have raised
 
 
 def test_periodic_report_content(periodic_report):
@@ -111,8 +136,8 @@ def test_conjecture_probe_deterministic(tmp_path):
     assert canonical_json(d1) == canonical_json(d2)
     # pinned bytes of the probe's horizon records (see test_scaling_golden_digest)
     assert _report_digest(r1) == {
-        "json": "cf6d83b7690b0615d359e8305db569f28e2e148094ef5270ccc37725df7e4422",
-        "csv": "971d4d19c81664240360bee2adf1d48f0f2850e525407a2836adad78cb7b95b9"}
+        "json": "1b6b280d7c543447cc241d717a4e43a75575bf915084f0fe86c0acd41178371f",
+        "csv": "298ffa067bc736352ca781b67ecdd4f2efa477e52f2f0edc4bca21dba191d2ed"}
     with pytest.raises(ValueError):
         run_conjecture_probe(ExperimentConfig(kind="conjecture-probe",
                                               horizons=[20.0, 50.0],
@@ -192,24 +217,24 @@ def test_scaling_golden_digest(tmp_path):
     digest = {"json": hashlib.sha256(canonical_json(d).encode()).hexdigest(),
               "csv": hashlib.sha256(report_csv(report).encode()).hexdigest()}
     assert digest == {
-        "json": "fa9a88a71a2ce5d8bb0997b7dc3c9e118104c812782bd80c6e04f4cf8d6c6def",
-        "csv": "567870cd17c0837def4e2c9b6f842c2fcce8b421d5c6e131472bb09c300b996b"}
+        "json": "0b68139b56aa7e1d490ed24581c07f0dde6596c5a2e49e8e55865add17c29e34",
+        "csv": "39c3c5b8250c2dd44291eba44afd967f69e5102008d5636633868d514d735be8"}
 
 
 def test_periodic_golden_digest(periodic_report):
     """Pinned CI-profile periodic-control bytes (horizon records and the
     operator suite); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(periodic_report) == {
-        "json": "1afdf21a3f64f0c82b102c62b31976c2506961cfd922c517939e51ecaeedb2e1",
-        "csv": "0be5b5c541f099796e5d3ba1ee545ef2174be6bb83fe2aa29d569fb7d68e6e72"}
+        "json": "c0995d8d52414ddd8fe7ea202620a83ba49c1cca8941f8fe9954a3614bac586e",
+        "csv": "9b2e9918764cc826ae055db69b39e6563a3a0c7e58bc36291ab7b9ff1d46b235"}
 
 
 def test_glued_golden_digest(glued_report):
     """Pinned CI-profile glued-demo bytes (per-stage records, continuity
     note); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(glued_report) == {
-        "json": "e498c78c994ce038edbdd891b63bfd3854a9f371b802a62c1f2a599cf8ca00bf",
-        "csv": "68a17521446e52b4e31425ce5307b9283a161dab90beb73a2323de877929fdd1"}
+        "json": "7f6a062ee07d7dc827adf0144c3916b6abeb1502cfd28e38c436f2a1f571b784",
+        "csv": "cb5615e6ebcb4bb6aba02883cdb4d63306c386552ec6a48470d3804c52c38f4c"}
 
 
 def test_lemma_suite_emit_deterministic(tmp_path):
