@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .core import ModelParams
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, _backtrack_inside, run_experiment
 from .laxoleinik import (gridfunction_from_csv, gridfunction_to_csv, kernel,
                          kernel_to_csv, minplus_apply)
-from .minimizer import (DomainError, GridSpec, WindowTouchError, backtrack,
-                        refine, solve_dp, velocity_bound_upper)
+from .minimizer import (DomainError, GridSpec, WindowTouchError, refine,
+                        solve_dp, velocity_bound_upper)
 from .potentials import potential_from_spec
 from .reports import canonical_json, emit
 
@@ -162,7 +162,7 @@ def _cmd_minimize(args) -> int:
     grid = GridSpec(x_min=x_lo, x_max=x_hi, dx=args.dx, t1=args.t1,
                     t2=args.t2, dt=args.dt, v_max=v_max)
     table = solve_dp(U, grid, None, p)
-    traj = backtrack(table, args.x)
+    traj = _backtrack_inside(table, args.x)
     if args.refine_passes:
         traj = refine(traj, U, p, passes=args.refine_passes)
     text = _trajectory_csv(traj)

@@ -263,10 +263,12 @@ def _scaling_record(cfg: ExperimentConfig, T: float) -> HorizonRecord:
     x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, cfg.n_targets)
     U = accelerating_potential(y=0.0, t1=0.0, t2=T, K=K2, C=cfg.C, beta=cfg.beta)
     s_window = min(cfg.s_window_max, T / 20.0)
+    # the final slice's window starts near -margin: the first attempt holds
+    # the lowest target plus the bump's ramp (2 wide) and two cells to spare
+    margin = max(cfg.margin, -float(x_targets.min()) + 2.0 + 2.0 * cfg.dx_max)
     # window-touch certification: move timing is degenerate in the flat
     # potential plateau, so trajectories may park below the riding band;
     # enlarge the margin and resolve when the certificate trips
-    margin = cfg.margin
     for attempt in range(3):
         wgrid = scaling_grid(cfg, T, K2, x_targets, margin=margin)
         try:

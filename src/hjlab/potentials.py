@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
@@ -143,6 +142,7 @@ class PaceCurve:
 
     def value_quad(self, s: float, tol: Optional[float] = None) -> float:
         """g(s) by adaptive quadrature of the tail integral (oracle path)."""
+        from scipy import integrate   # oracle only: keeps it out of import hjlab
         s = float(self._check_range(s))
         if s == 0.0:
             return 0.0
@@ -180,6 +180,7 @@ class PaceCurve:
 
     def energy_quad(self, s: float, tol: float = 1e-12) -> float:
         """Adaptive quadrature of integral_0^s (g')^beta / beta du (oracle)."""
+        from scipy import integrate
         s = float(self._check_range(s))
         val, _ = integrate.quad(
             lambda u: self.K**self.beta * math.log(self.T / u) ** 2 / self.beta,

@@ -326,10 +326,11 @@ def _polished_minimizer(U, grid, x_target, grad_tol=1e-8):
 
 def test_criterion_11_energy_conservation():
     U = periodic_potential(cosine_profile(1.0, 1.0), 1.0, modulation="constant")
-    drift = {}
+    drift, grads = {}, []
     for dt in (0.08, 0.04, 0.02):
         g = GridSpec(-8.0, 8.0, dt / 4.0, 0.0, 12.0, dt, 4.0 * math.sqrt(2.0))
         tr = _polished_minimizer(U, g, 2.5)
+        grads.append(_action_grad_norm(tr, U))
         mom = legendre(tr.velocities, P2)
         xm = 0.5 * (tr.positions[:-1] + tr.positions[1:])
         tm = 0.5 * (tr.times[:-1] + tr.times[1:])
@@ -339,7 +340,8 @@ def test_criterion_11_energy_conservation():
                    and drift[0.02] <= 0.7 * drift[0.04])
     report(11, "autonomous energy conservation",
            drift[0.02] <= 0.05 * P2.C and first_order,
-           f"max|dH| {drift[0.08]:.2e} -> {drift[0.04]:.2e} -> {drift[0.02]:.2e}")
+           f"max|dH| {drift[0.08]:.2e} -> {drift[0.04]:.2e} -> {drift[0.02]:.2e}; "
+           f"max|grad A| {[f'{gn:.1e}' for gn in grads]}")
 
 
 def test_criterion_12_el_residual():
@@ -352,12 +354,13 @@ def test_criterion_12_el_residual():
     for name, U, x_lo, x_hi, span, xt in (
             ("autonomous", Ug, -8.0, 8.0, 12.0, 2.5),
             ("accelerating", Ua, -curve.value(T) - 8.0, 1.0, T, 0.0)):
-        rs = []
+        rs, grads = [], []
         for dt in (0.04, 0.02, 0.01):
             g = GridSpec(x_lo, x_hi, dt / 4.0, 0.0, span, dt,
                          max(4.0 * K2 * math.log(T), 4.0 * math.sqrt(2.0)))
             tr = _polished_minimizer(U, g, xt)
             rs.append(float(np.max(np.abs(el_residual(tr, U, P2)))))
+            grads.append(_action_grad_norm(tr, U))
         # residual <= c*dt with the coarse-grid constant: each halving must
         # cut the residual by at least 1/2 up to the criterion's 50% slack
         # (a faster-than-first-order decay satisfies the same bound)
@@ -366,7 +369,8 @@ def test_criterion_12_el_residual():
         c0 = rs[0] / 0.04
         ok &= all(r <= c0 * dt for r, dt in zip(rs, (0.04, 0.02, 0.01)))
         details.append(f"{name} res={[f'{r:.2e}' for r in rs]} "
-                       f"decay={[round(d, 2) for d in decays]} c<={c0:.3f}")
+                       f"decay={[round(d, 2) for d in decays]} c<={c0:.3f} "
+                       f"max|grad A|={[f'{gn:.1e}' for gn in grads]}")
     report(12, "EL residual <= c*dt with stable c", ok, "; ".join(details))
 
 

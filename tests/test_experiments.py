@@ -14,7 +14,7 @@ from hjlab.cli import main as cli_main
 from hjlab.experiments import (ExperimentConfig, HorizonRecord, ScalingReport,
                                _horizon_record, run_conjecture_probe,
                                run_lemma_suite, run_scaling)
-from hjlab.minimizer import DomainError, GridSpec
+from hjlab.minimizer import DomainError, GridSpec, velocity_bound_lower
 from hjlab.potentials import accelerating_potential
 from hjlab.reports import canonical_json, emit, report_csv, report_svg
 
@@ -375,22 +375,22 @@ def test_cli_kernel_nan_constant_level_exit_2(tmp_path, capsys):
 
 
 def test_cli_failed_runs_exit_1(tmp_path, capsys):
-    # WindowTouchError on every margin retry: at margins 0.05, 0.1 and 0.2
-    # the final slice starts above the lowest target (-0.65)
+    # WindowTouchError: the glued demo windows with the configured margin as
+    # given, and at 0.05 its final slice starts above the lowest target (-0.25)
     cfgfile = tmp_path / "tight.json"
-    cfgfile.write_text(json.dumps({"margin": 0.05, "detach_cap_factor": 0.1}))
-    assert cli_main(["scaling", "--horizons", "60", "--config", str(cfgfile),
+    cfgfile.write_text(json.dumps({"margin": 0.05}))
+    assert cli_main(["glued-demo", "--config", str(cfgfile),
                      "--out-dir", str(tmp_path), "--threads", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "window edge" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_scaling_margin_retry_recovers(tmp_path, monkeypatch):
-    """At T = 60 the final slice starts near -margin.  The attempts at
-    margins 0.2 and 0.4 raise WindowTouchError, since the lowest target
-    (-0.65) lies past the window edge, and the run recovers at 0.8 with
-    every target inside the window (it is not snapped to the edge)."""
+def test_scaling_first_margin_holds_lowest_target(tmp_path, monkeypatch):
+    """At T = 60 the final slice starts near -margin and the lowest target
+    is -R_T/2 = -0.65.  A configured margin of 0.1 is raised at once to hold
+    that target plus the bump's ramp (2) and two cells (2 dx_max), and the
+    speeds equal those of the default margin-10 run within grid_slack."""
     import hjlab.experiments
 
     margins = []
@@ -401,12 +401,17 @@ def test_scaling_margin_retry_recovers(tmp_path, monkeypatch):
         return scaling_grid(cfg, T, K2, x_targets, margin=margin)
 
     monkeypatch.setattr(hjlab.experiments, "scaling_grid", spy)
-    report = run_scaling(ExperimentConfig(kind="scaling", horizons=[60.0], margin=0.2,
-                                          out_dir=str(tmp_path)))
-    assert margins == [0.2, 0.4, 0.8]
-    (rec,) = report.records
-    assert min(rec["targets"]) < -0.6
-    assert all(math.isfinite(v) for v in rec["speeds"])
+    recs = {}
+    for margin in (0.1, 10.0):
+        cfg = ExperimentConfig(kind="scaling", horizons=[60.0], margin=margin,
+                               out_dir=str(tmp_path / str(margin)))
+        (recs[margin],) = run_scaling(cfg).records
+    R_T = velocity_bound_lower(60.0, cfg.params).R_T
+    assert margins == [pytest.approx(R_T / 2.0 + 2.0 + 2.0 * cfg.dx_max), 10.0]
+    sized, wide = recs[0.1], recs[10.0]
+    assert min(sized["targets"]) < -0.6
+    assert all(abs(a - b) <= wide["grid_slack"]
+               for a, b in zip(sized["speeds"], wide["speeds"]))
 
 
 def test_cli_minimize_domain_above_edge_fails(tmp_path, capsys, monkeypatch):
@@ -466,6 +471,25 @@ def test_cli_minimize_one_sided_bounds(tmp_path, capsys, monkeypatch):
     assert cli_main(base[:4] + ["2.5"] + base[5:] + ["--x-max", "1.5", "--out",
                                                     str(tmp_path / "t.csv")]) == 2
     assert len(grids) == 2
+
+
+def test_cli_minimize_clipped_path_fails(tmp_path, capsys):
+    # the periodic well nearest x = 1.5 lies at 0: on the default domain
+    # [-18.5, 21.5] the path rests there, on [1, 2] it sits on the edge x = 1
+    pot = tmp_path / "p.json"
+    cli_main(["potential", "--kind", "periodic", "--beta", "2.0", "--C", "1.0",
+              "--period", "1.0", "--modulation", "constant", "--out", str(pot)])
+    base = ["minimize", "--potential", str(pot), "--x", "1.5", "--t1", "0",
+            "--t2", "10", "--dx", "0.05", "--dt", "0.1", "--v-max", "4"]
+    free = tmp_path / "free.csv"
+    assert cli_main(base + ["--out", str(free)]) == 0
+    xs = [float(row.split(",")[1]) for row in free.read_text().splitlines()[1:]]
+    assert min(xs) < 0.1
+    out = tmp_path / "clipped.csv"
+    assert cli_main(base + ["--x-min", "1", "--x-max", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "grid edge x=1.0" in err
+    assert not out.exists()
 
 
 def test_cli_check_lemmas_and_env_override(tmp_path, monkeypatch):

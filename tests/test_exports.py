@@ -1,5 +1,9 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import hjlab
 
@@ -19,3 +23,41 @@ def test_every_export_resolves():
     ns = {}
     exec("from hjlab import *", ns)
     assert "solve_dp" in ns and "PaceCurve" in ns
+
+
+_HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+                "scipy.ndimage", "scipy.stats", "scipy.interpolate")
+
+_IMPORT_BUDGET_CHILD = f"""
+import json, sys
+import hjlab, hjlab.cli, hjlab.experiments, hjlab.reports
+loaded = [m for m in {_HEAVY_SCIPY!r} if m in sys.modules]
+special = "scipy.special" in sys.modules
+c = hjlab.PaceCurve(K=1.3, T=1e4, beta=2.0)
+s = 0.1 * c.T
+print(json.dumps({{"loaded": loaded, "special": special,
+                  "value": [c.value(s), c.value_quad(s)],
+                  "energy": [c.energy_closed(s), c.energy_quad(s)],
+                  "integrate_after": "scipy.integrate" in sys.modules}}))
+"""
+
+
+def test_import_budget_excludes_heavy_scipy():
+    """Importing the package and its CLI, experiment and report modules in a
+    fresh interpreter loads numpy and scipy.special but none of the heavier
+    scipy subpackages: scipy.integrate (which pulls in optimize, sparse and
+    linalg) is imported only by the PaceCurve quadrature oracles, which still
+    agree with the closed forms once it is."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hjlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_CHILD], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    res = json.loads(out.stdout.splitlines()[-1])
+    assert res["loaded"] == []
+    assert res["special"]
+    assert res["integrate_after"]
+    exact, quad = res["value"]
+    assert abs(exact - quad) <= 1e-9 * abs(exact)
+    closed, quad = res["energy"]
+    assert abs(closed - quad) <= 1e-8 * abs(closed)
