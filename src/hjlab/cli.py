@@ -3,7 +3,7 @@
 Subcommands build potentials, compute single minimizers and kernels, apply
 the solution operator, and run the batch experiments.  Global flags can also
 be supplied through environment variables with the HJLAB_ prefix
-(HJLAB_CONFIG, HJLAB_OUT_DIR, HJLAB_PROFILE, HJLAB_THREADS); explicit flags
+(HJLAB_CONFIG, HJLAB_OUT_DIR, HJLAB_PROFILE); explicit flags
 win over the environment, which wins over the config file.
 
 Exit codes: 0 all hard assertions pass, 1 assertion failure or failed run
@@ -33,7 +33,7 @@ from .reports import canonical_json, emit
 ENV_PREFIX = "HJLAB_"
 
 HARD_FLAGS = {
-    # fit_in_range is None (not False) when the fit is suppressed, which passes
+    # fit_in_range is None (not False) when the fit is suppressed: "skipped", not failed
     "scaling": ["monotone_v", "onset_found", "wT_lemma_ok", "progression_ok",
                 "fit_in_range"],
     "periodic-control": ["ratio_within_10pct", "no_monotone_growth",
@@ -73,9 +73,6 @@ def _resolve_globals(args) -> dict:
     profile = args.profile if args.profile is not None else _env("PROFILE")
     if profile is not None:
         out["profile"] = profile
-    threads = args.threads if args.threads is not None else _env("THREADS")
-    if threads is not None:
-        out["threads"] = int(threads)
     return out
 
 
@@ -83,8 +80,6 @@ def _add_globals(sp):
     sp.add_argument("--config", help="JSON config file", default=None)
     sp.add_argument("--out-dir", help="output directory", default=None)
     sp.add_argument("--profile", choices=["ci", "large"], default=None)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for independent horizons (0 = auto)")
 
 
 def _cmd_potential(args) -> int:
@@ -227,7 +222,8 @@ def _cmd_experiment(kind, args) -> int:
     hard = HARD_FLAGS[kind]
     failed = [name for name in hard if report.flags.get(name) is False]
     for name in hard:
-        state = "pass" if report.flags.get(name) else "FAIL"
+        flag = report.flags.get(name)
+        state = "skipped" if flag is None else "pass" if flag else "FAIL"
         print(f"[{kind}] {name}: {state}")
     for k, v in sorted(paths.items()):
         print(f"[{kind}] wrote {k}: {v}")

@@ -99,55 +99,37 @@ class Trajectory:
 class PotentialField:
     """Evaluable forcing U(x,t) with spatial gradient and certified bound.
 
-    ``eval_fn`` and ``grad_fn`` must accept numpy arrays in x (and in t where
-    both are arrays of equal shape) and be free of interior mutation so that
-    concurrent evaluation is safe.  ``support_hint`` optionally maps a time to
-    the spatial interval where U varies.
+    ``slice_fn(ts, deriv)`` is the one evaluator: for fixed times ``ts`` it
+    returns f with f(x) = U(x, ts), or dU/dx(x, ts) when ``deriv`` is true,
+    so time-only work (e.g. pace-curve values) is done once per slice.  f
+    must accept numpy arrays in x that broadcast against ``ts``.
+    ``support_hint`` optionally maps a time to the spatial interval where U
+    varies.
     """
 
-    eval_fn: Callable
-    grad_fn: Callable
+    slice_fn: Callable
     bound: float
     support_hint: Optional[Callable] = None
     spec: dict = field(default_factory=dict)
-    time_slice_fn: Optional[Callable] = None
-    grad_slice_fn: Optional[Callable] = None
 
     def value(self, x, t):
-        return self.eval_fn(x, t)
+        return self.slice_fn(t, False)(x)
 
     def grad(self, x, t):
-        return self.grad_fn(x, t)
+        return self.slice_fn(t, True)(x)
 
     def time_slice(self, ts) -> Callable:
-        """Partial evaluator for fixed times: returns f with f(x) = U(x, ts).
-
-        ``ts`` is an array; the returned closure maps position arrays of the
-        same shape to values.  Constructors may supply a specialized
-        ``time_slice_fn`` that hoists time-only work (e.g. pace-curve values)
-        out of repeated spatial queries.
-        """
-        if self.time_slice_fn is not None:
-            return self.time_slice_fn(ts)
-        ts = np.asarray(ts, dtype=float)
-        return lambda x: self.eval_fn(x, ts)
+        """Partial evaluator for fixed times: returns f with f(x) = U(x, ts)."""
+        return self.slice_fn(ts, False)
 
     def grad_slice(self, ts) -> Callable:
-        """Gradient counterpart of :meth:`time_slice`: f(x) = grad U(x, ts),
-        hoisted by ``grad_slice_fn`` when the constructor supplies one."""
-        if self.grad_slice_fn is not None:
-            return self.grad_slice_fn(ts)
-        ts = np.asarray(ts, dtype=float)
-        return lambda x: self.grad_fn(x, ts)
-
-    def __call__(self, x, t):
-        return self.eval_fn(x, t)
+        """Gradient counterpart of :meth:`time_slice`: f(x) = grad U(x, ts)."""
+        return self.slice_fn(ts, True)
 
 
 def zero_potential(beta: float = 2.0) -> PotentialField:
     return PotentialField(
-        eval_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda ts, deriv: lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         bound=0.0,
         spec={"kind": "zero", "beta": beta},
     )
@@ -156,9 +138,13 @@ def zero_potential(beta: float = 2.0) -> PotentialField:
 def constant_potential(level: float, beta: float = 2.0) -> PotentialField:
     if not level >= 0:   # a NaN level fails this too
         raise ValueError(f"constant potential level must be >= 0, got {level}")
+
+    def _slice(ts, deriv):
+        fill = 0.0 if deriv else level
+        return lambda x: np.full_like(np.asarray(x, dtype=float), fill)
+
     return PotentialField(
-        eval_fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), level),
-        grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        _slice,
         bound=level,
         spec={"kind": "constant", "beta": beta, "level": level},
     )

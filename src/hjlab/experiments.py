@@ -4,15 +4,13 @@ Builds potentials, runs the DP minimizer across horizons, measures terminal
 velocities against the (log T)^(2/beta) bounds, exercises every numerical
 lemma check, and assembles deterministic report objects (see reports.emit
 for serialization).  Every horizon record comes from one path,
-_horizon_record.  Independent horizons may run concurrently; reports are
-reduced in (T, seed) order so output bytes never depend on scheduling.
+_horizon_record, and horizons run one after another.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -59,7 +57,6 @@ class ExperimentConfig:
     horizons: Optional[list] = None
     seeds: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
     out_dir: str = "out"
-    threads: int = 1
 
     # grid policy
     dx_max: float = 0.05
@@ -308,22 +305,15 @@ def _onset(records) -> Optional[float]:
     return onset
 
 
-def _map_timed(fn, items, key=str, threads: int = 1):
-    """[fn(item) for item in items], on up to ``threads`` workers (0 = auto),
-    plus the wall time of each call under key(item) for the volatile
-    timings sidecar."""
-    walls = {}
-
-    def one(item):
+def _map_timed(fn, items, key=str):
+    """[fn(item) for item in items], plus the wall time of each call under
+    key(item) for the volatile timings sidecar."""
+    walls, out = {}, []
+    for item in items:
         t0 = time.monotonic()
-        out = fn(item)
+        out.append(fn(item))
         walls[key(item)] = time.monotonic() - t0
-        return out
-
-    if threads == 1 or len(items) <= 1:
-        return [one(item) for item in items], walls
-    with ThreadPoolExecutor(max_workers=threads if threads > 0 else None) as ex:
-        return list(ex.map(one, items)), walls
+    return out, walls
 
 
 def run_scaling(cfg: ExperimentConfig) -> ScalingReport:
@@ -334,8 +324,7 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingReport:
     exponent (expected 2/beta)."""
     if cfg.kind != "scaling":
         raise ValueError("config kind must be 'scaling'")
-    recs, walls = _map_timed(lambda T: _scaling_record(cfg, T), cfg.horizons,
-                             threads=cfg.threads)
+    recs, walls = _map_timed(lambda T: _scaling_record(cfg, T), cfg.horizons)
     records = [r.to_dict() for r in recs]
     fit = _fit_exponent(records)
     onset = _onset(records)
@@ -389,7 +378,7 @@ def run_periodic_control(cfg: ExperimentConfig) -> ScalingReport:
         return _horizon_record(cfg, T, U, grid, x_targets,
                                min(cfg.s_window_max, T / 20.0))
 
-    recs, walls = _map_timed(one, cfg.horizons, threads=cfg.threads)
+    recs, walls = _map_timed(one, cfg.horizons)
     records = [r.to_dict() for r in recs]
     # no-growth statistic: max over tested terminal x per horizon
     vmax = [max(r["speeds"]) for r in records]
@@ -647,7 +636,8 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
             ti = np.clip(np.asarray(t) / g.dt_eff, 0, n_steps + 1).astype(int)
             return vals[ti, xi]
 
-        U = _PF(eval_fn=ev, grad_fn=lambda x, t: 0.0 * np.asarray(x), bound=1.0)
+        U = _PF(lambda ts, deriv: lambda x: (
+            0.0 * np.asarray(x) if deriv else ev(x, ts)), bound=1.0)
         tab = solve_dp(U, g, None, p)
         ev_vals, _ = enumerate_paths(U, g, None, p)
         oracle_ok &= bool(np.array_equal(tab.final_values, ev_vals))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
-from .core import PotentialField
+from .core import PotentialField, constant_potential, zero_potential
 
 __all__ = [
     "bump",
@@ -100,7 +100,6 @@ class PaceCurve:
     K: float
     T: float
     beta: float
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if not (self.K > 0 and self.T > 0 and self.beta > 1):
@@ -140,13 +139,12 @@ class PaceCurve:
             out[pos] = self.K * self.T * gamma_fn(self._a) * gammaincc(self._a, z)
         return float(out[0]) if scalar else out
 
-    def value_quad(self, s: float, tol: Optional[float] = None) -> float:
+    def value_quad(self, s: float, tol: float = 1e-10) -> float:
         """g(s) by adaptive quadrature of the tail integral (oracle path)."""
         from scipy import integrate   # oracle only: keeps it out of import hjlab
         s = float(self._check_range(s))
         if s == 0.0:
             return 0.0
-        tol = self.quad_tol if tol is None else tol
         z = math.log(self.T / s)
         p = 2.0 / self.beta
         tail, _ = integrate.quad(lambda v: v**p * math.exp(-v), z, np.inf,
@@ -228,7 +226,7 @@ def pace_s2_gap(s: float, curve: PaceCurve) -> float:
 
 
 def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
-                           beta: float, quad_tol: float = 1e-10) -> PotentialField:
+                           beta: float) -> PotentialField:
     """Moving-step potential U(x,t) = bump(x - y + g_T(t2 - t)) with T = t2-t1.
 
     The zero edge starts at y - g_T(T) and advances to y at t2, accelerating
@@ -238,9 +236,10 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
         raise ValueError("need t2 > t1")
     if not (K > 0 and C > 0):
         raise ValueError("need K > 0 and C > 0")
-    curve = PaceCurve(K=K, T=t2 - t1, beta=beta, quad_tol=quad_tol)
+    curve = PaceCurve(K=K, T=t2 - t1, beta=beta)
 
-    def _slice(ts, kernel):
+    def _slice(ts, deriv):
+        kernel = _bump_grad if deriv else _bump_value
         g = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
         return lambda x: kernel(np.asarray(x, dtype=float) - y + g, C)
 
@@ -249,13 +248,9 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
         return (y - g - 2.0, y - g)
 
     return PotentialField(
-        eval_fn=lambda x, t: _slice(t, _bump_value)(x),
-        grad_fn=lambda x, t: _slice(t, _bump_grad)(x),
-        bound=C, support_hint=support_hint,
+        _slice, bound=C, support_hint=support_hint,
         spec={"kind": "accelerating", "beta": beta, "C": C, "K": K,
               "t1": t1, "t2": t2, "y": y},
-        time_slice_fn=lambda ts: _slice(ts, _bump_value),
-        grad_slice_fn=lambda ts: _slice(ts, _bump_grad),
     )
 
 
@@ -335,8 +330,8 @@ def glued_schedule(epsilon: float, Tbar: float, K: float, C: float, beta: float,
 
 
 def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
-                    K: Optional[float] = None, beta: Optional[float] = None,
-                    quad_tol: float = 1e-10) -> PotentialField:
+                    K: Optional[float] = None,
+                    beta: Optional[float] = None) -> PotentialField:
     """Concatenated accelerating potential on t in (-S_n_max, 0].
 
     On stage n (t in (-S_n, -S_{n-1}]) the field is
@@ -349,8 +344,7 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
         raise ValueError("C must be >= 0")
     K = schedule.K if K is None else K
     beta = schedule.beta if beta is None else beta
-    curves = [PaceCurve(K=K, T=T_n, beta=beta, quad_tol=quad_tol)
-              for (T_n, _, _) in schedule.stages]
+    curves = [PaceCurve(K=K, T=T_n, beta=beta) for (T_n, _, _) in schedule.stages]
     S = np.array([st[1] for st in schedule.stages])       # S_1..S_n
     S_prev = np.concatenate(([0.0], S[:-1]))              # S_0..S_{n-1}
     X_prev = np.concatenate(([0.0], [st[2] for st in schedule.stages[:-1]]))
@@ -369,27 +363,19 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
             g[m] = curves[n].value(np.clip(u[m] - S_prev[n], 0.0, schedule.stages[n][0]))
         return X_prev[idx], g
 
-    def _slice(ts, kernel):
+    def _slice(ts, deriv):
         # x + X_{n-1} + g, in that order, as the field is defined
+        kernel = _bump_grad if deriv else _bump_value
         offset, g = _stage(ts)
         return lambda x: kernel(np.asarray(x, dtype=float) + offset + g, C)
-
-    def _field(kernel):
-        def fn(x, t):
-            v = _slice(t, kernel)(x)
-            return v if np.ndim(x) or np.ndim(t) else float(v)
-        return fn
 
     def support_hint(t):
         offset, g = _stage(t)
         a = float(offset + g)   # the argument at x = 0 gives the edge offset
         return (-a - 2.0, -a)
 
-    spec = schedule.spec_dict()
-    return PotentialField(eval_fn=_field(_bump_value), grad_fn=_field(_bump_grad),
-                          bound=C, support_hint=support_hint, spec=spec,
-                          time_slice_fn=lambda ts: _slice(ts, _bump_value),
-                          grad_slice_fn=lambda ts: _slice(ts, _bump_grad))
+    return PotentialField(_slice, bound=C, support_hint=support_hint,
+                          spec=schedule.spec_dict())
 
 
 @dataclass(frozen=True)
@@ -449,18 +435,15 @@ def periodic_potential(profile: SpatialProfile, period: float,
         def m(t):
             return (1.0 - np.cos(2.0 * np.pi * np.asarray(t, dtype=float) / period)) / 2.0
 
-    def _slice(ts, spatial):
+    def _slice(ts, deriv):
+        spatial = profile.deriv if deriv else profile.value
         m_pre = m(ts)
         return lambda x: spatial(x) * m_pre
 
     return PotentialField(
-        eval_fn=lambda x, t: _slice(t, profile.value)(x),
-        grad_fn=lambda x, t: _slice(t, profile.deriv)(x),
-        bound=profile.sup_value,
+        _slice, bound=profile.sup_value,
         spec={"kind": "periodic", "beta": beta, "period": period,
               "modulation": modulation, "profile": dict(profile.spec)},
-        time_slice_fn=lambda ts: _slice(ts, profile.value),
-        grad_slice_fn=lambda ts: _slice(ts, profile.deriv),
     )
 
 
@@ -502,13 +485,10 @@ def random_potential(seed: int, spatial_profiles: Sequence[SpatialProfile],
         for k in range(1, n):
             a[k] = rho * a[k - 1] + innov * xi[k]
         amps.append(np.clip(a, -1.0, 1.0))
-    amps = tuple(amps)
-
-    def amplitude(j: int, t):
-        return np.interp(np.asarray(t, dtype=float), ts, amps[j])
 
     def _slice(tq, deriv):
-        mods = [(1.0 + amplitude(j, tq)) / 2.0 for j in range(len(profiles))]
+        tq = np.asarray(tq, dtype=float)
+        mods = [(1.0 + np.interp(tq, ts, a)) / 2.0 for a in amps]
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -518,28 +498,21 @@ def random_potential(seed: int, spatial_profiles: Sequence[SpatialProfile],
             return scale * total
         return f
 
-    fld = PotentialField(
-        eval_fn=lambda x, t: _slice(t, False)(x),
-        grad_fn=lambda x, t: _slice(t, True)(x), bound=C,
+    return PotentialField(
+        _slice, bound=C,
         spec={"kind": "random", "beta": beta, "C": C, "seed": int(seed),
               "correlation_time": correlation_time,
               "t_min": t_min, "t_max": t_max,
               "profiles": [dict(p.spec) for p in profiles]},
-        time_slice_fn=lambda tq: _slice(tq, False),
-        grad_slice_fn=lambda tq: _slice(tq, True),
     )
-    object.__setattr__(fld, "amplitude", amplitude)
-    return fld
 
 
 def potential_from_spec(spec: dict) -> PotentialField:
     """Rebuild a PotentialField from its JSON specification dict."""
     kind = spec.get("kind")
     if kind == "zero":
-        from .core import zero_potential
         return zero_potential(beta=spec.get("beta", 2.0))
     if kind == "constant":
-        from .core import constant_potential
         return constant_potential(spec["level"], beta=spec.get("beta", 2.0))
     if kind == "accelerating":
         return accelerating_potential(spec["y"], spec["t1"], spec["t2"],

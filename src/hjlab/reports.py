@@ -71,7 +71,10 @@ def _svg_points(report: ScalingReport):
     return series, sorted(bounds_lo), sorted(bounds_hi)
 
 
-def report_svg(report: ScalingReport, width: int = 640, height: int = 420) -> str:
+_WIDTH, _HEIGHT = 640, 420   # SVG canvas size in px
+
+
+def report_svg(report: ScalingReport) -> str:
     """Scatter of terminal speed against (log T)^(2/beta).
 
     One <g class="series"> per terminal-x sample plus two bound polylines
@@ -81,7 +84,7 @@ def report_svg(report: ScalingReport, width: int = 640, height: int = 420) -> st
     pts = [p for ser in series.values() for p in ser] + lo + hi
     if not pts:
         body = ['<text x="20" y="30">empty report</text>']
-        return _svg_doc(width, height, body)
+        return _svg_doc(body)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
@@ -91,20 +94,20 @@ def report_svg(report: ScalingReport, width: int = 640, height: int = 420) -> st
     pad = 50.0
 
     def sx(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+        return pad + (x - x0) / (x1 - x0) * (_WIDTH - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        return _HEIGHT - pad - (y - y0) / (y1 - y0) * (_HEIGHT - 2 * pad)
 
     body = []
-    body.append(f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-                f'y2="{height - pad}" stroke="black"/>')
+    body.append(f'<line x1="{pad}" y1="{_HEIGHT - pad}" x2="{_WIDTH - pad}" '
+                f'y2="{_HEIGHT - pad}" stroke="black"/>')
     body.append(f'<line x1="{pad}" y1="{pad}" x2="{pad}" '
-                f'y2="{height - pad}" stroke="black"/>')
-    body.append(f'<text x="{width / 2:.17g}" y="{height - 12}" '
+                f'y2="{_HEIGHT - pad}" stroke="black"/>')
+    body.append(f'<text x="{_WIDTH / 2:.17g}" y="{_HEIGHT - 12}" '
                 'text-anchor="middle">(log T)^(2/beta)</text>')
-    body.append(f'<text x="14" y="{height / 2:.17g}" text-anchor="middle" '
-                f'transform="rotate(-90 14 {height / 2:.17g})">terminal speed</text>')
+    body.append(f'<text x="14" y="{_HEIGHT / 2:.17g}" text-anchor="middle" '
+                f'transform="rotate(-90 14 {_HEIGHT / 2:.17g})">terminal speed</text>')
     for name, line, dash in (("bound-lower", lo, "4 3"), ("bound-upper", hi, "8 3")):
         if line:
             coords = " ".join(f"{sx(a):.17g},{sy(b):.17g}" for a, b in line)
@@ -119,18 +122,18 @@ def report_svg(report: ScalingReport, width: int = 640, height: int = 420) -> st
             f'<circle cx="{sx(a):.17g}" cy="{sy(b):.17g}" r="3.5" '
             f'fill="{color}"/>' for a, b in sorted(series[i]))
         body.append(f'<g class="series" id="series-x{i}">{circles}</g>')
-    return _svg_doc(width, height, body)
+    return _svg_doc(body)
 
 
-def _svg_doc(width, height, body: Iterable[str]) -> str:
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}" '
+def _svg_doc(body: Iterable[str]) -> str:
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
             'font-family="monospace" font-size="12">')
     return head + "".join(body) + "</svg>\n"
 
 
-def emit(report: ScalingReport, formats=("json", "csv", "svg"),
-         out_dir: Optional[str] = None, stem: Optional[str] = None) -> dict:
+def emit(report: ScalingReport, out_dir: Optional[str] = None,
+         stem: Optional[str] = None) -> dict:
     """Write the report files; returns {format: path}.
 
     JSON carries the full canonical record (config, records, fit, flags);
@@ -142,18 +145,11 @@ def emit(report: ScalingReport, formats=("json", "csv", "svg"),
     stem = stem or report.kind
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    if "json" in formats:
-        paths["json"] = os.path.join(out_dir, f"{stem}.json")
-        with open(paths["json"], "w") as f:
-            f.write(canonical_json(report.to_dict()))
-    if "csv" in formats:
-        paths["csv"] = os.path.join(out_dir, f"{stem}.csv")
-        with open(paths["csv"], "w") as f:
-            f.write(report_csv(report))
-    if "svg" in formats:
-        paths["svg"] = os.path.join(out_dir, f"{stem}.svg")
-        with open(paths["svg"], "w") as f:
-            f.write(report_svg(report))
+    for fmt, text in (("json", canonical_json(report.to_dict())),
+                      ("csv", report_csv(report)), ("svg", report_svg(report))):
+        paths[fmt] = os.path.join(out_dir, f"{stem}.{fmt}")
+        with open(paths[fmt], "w") as f:
+            f.write(text)
     if report.wall_times:
         tp = os.path.join(out_dir, f"{stem}_timings.json")
         with open(tp, "w") as f:

@@ -176,9 +176,8 @@ def test_criterion_06_dp_optimality_oracle():
             ti = np.clip((np.asarray(t) - g.t1) / g.dt_eff, 0, n_steps + 1).astype(int)
             return vals[ti, xi]
 
-        U = PotentialField(eval_fn=ev,
-                           grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-                           bound=1.0)
+        U = PotentialField(lambda ts, deriv: lambda x: (
+            np.zeros_like(np.asarray(x, dtype=float)) if deriv else ev(x, ts)), bound=1.0)
         S0 = rng.uniform(-1, 1, size=g.n_x)
         tab = solve_dp(U, g, S0, P2)
         ev_vals, _ = enumerate_paths(U, g, S0, P2)

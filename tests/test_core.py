@@ -131,11 +131,12 @@ def test_el_residual_straight_line():
 
 def _linear_ramp_potential(c=20.0):
     # U(x,t) = c - x on a region containing the test paths: grad = -1
-    return PotentialField(
-        eval_fn=lambda x, t: np.clip(c - np.asarray(x, dtype=float), 0.0, None),
-        grad_fn=lambda x, t: np.where(np.asarray(x, dtype=float) < c, -1.0, 0.0),
-        bound=c,
-    )
+    def _slice(ts, deriv):
+        if deriv:
+            return lambda x: np.where(np.asarray(x, dtype=float) < c, -1.0, 0.0)
+        return lambda x: np.clip(c - np.asarray(x, dtype=float), 0.0, None)
+
+    return PotentialField(_slice, bound=c)
 
 
 def test_el_residual_parabola_first_order():
@@ -179,11 +180,8 @@ def test_certify_potential_bounds():
     res = certify_potential(Uc, (-5, 5), (0, 10), n=10_000)
     assert res.ok and res.max_value <= 0.5
 
-    bad = PotentialField(
-        eval_fn=lambda x, t: np.full_like(np.asarray(x, dtype=float), 2.0),
-        grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        bound=1.0,
-    )
+    bad = PotentialField(lambda ts, deriv: lambda x: (
+        np.full_like(np.asarray(x, dtype=float), 0.0 if deriv else 2.0)), bound=1.0)
     assert not certify_potential(bad, (-1, 1), (0, 1), n=100).ok
 
 

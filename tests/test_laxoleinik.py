@@ -96,7 +96,8 @@ def test_kernel_matches_path_enumeration_toy():
         ti = np.clip(np.asarray(t) / g.dt_eff, 0, g.n_steps + 1).astype(int)
         return vals[ti, xi]
 
-    U = PotentialField(eval_fn=ev, grad_fn=lambda x, t: 0.0 * np.asarray(x), bound=1.0)
+    U = PotentialField(lambda ts, deriv: lambda x: (
+        0.0 * np.asarray(x) if deriv else ev(x, ts)), bound=1.0)
     k = kernel(U, 0.0, 0.75, g, P2)
     for i in range(g.n_x):
         S0 = np.full(g.n_x, np.inf)
@@ -269,9 +270,9 @@ def test_kernel_reflection_symmetry():
     g = GridSpec(x_min=-2.0, x_max=2.0, dx=0.2, t1=0.0, t2=1.0, dt=0.2, v_max=5.0)
     T = 30.0
     U = accelerating_potential(0.3, 0.0, 30.0, 0.5, 1.0, 2.0)
-    U_ref = PotentialField(eval_fn=lambda x, t: U.value(-np.asarray(x, dtype=float), t),
-                           grad_fn=lambda x, t: -np.asarray(U.grad(-np.asarray(x, dtype=float), t)),
-                           bound=U.bound)
+    U_ref = PotentialField(lambda ts, deriv: lambda x: (
+        -np.asarray(U.grad(-np.asarray(x, dtype=float), ts)) if deriv
+        else U.value(-np.asarray(x, dtype=float), ts)), bound=U.bound)
     k = kernel(U, 0.0, 1.0, g, P2)
     k_ref = kernel(U_ref, 0.0, 1.0, g, P2)
     assert np.array_equal(k_ref.entries, k.entries[::-1, ::-1])

@@ -31,9 +31,8 @@ def lattice_potential(rng, grid, n_steps):
         ti = np.clip((np.asarray(t) - grid.t1) / grid.dt_eff, 0, n_steps + 1).astype(int)
         return vals[ti, xi]
 
-    return PotentialField(eval_fn=ev,
-                          grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-                          bound=1.0)
+    return PotentialField(lambda ts, deriv: lambda x: (
+        np.zeros_like(np.asarray(x, dtype=float)) if deriv else ev(x, ts)), bound=1.0)
 
 
 def test_gridspec_validation():
@@ -99,7 +98,8 @@ def test_three_point_hand_instance():
         ti = np.clip(np.asarray(t) / 0.5, 0, 2).astype(int)
         return vals[ti, xi]
 
-    U = PotentialField(eval_fn=ev, grad_fn=lambda x, t: 0.0 * np.asarray(x), bound=1.0)
+    U = PotentialField(lambda ts, deriv: lambda x: (
+        0.0 * np.asarray(x) if deriv else ev(x, ts)), bound=1.0)
     tab = solve_dp(U, g, None, P2)
     ev_vals, ev_paths = enumerate_paths(U, g, None, P2)
     assert np.array_equal(tab.final_values, ev_vals)
@@ -124,8 +124,8 @@ def toy_batched_instances(draw, max_rows=4):
         ti = np.clip(np.round((np.asarray(t) - g.t1) / g.dt_eff), 0, n_steps + 1).astype(int)
         return vals[ti, xi]
 
-    U = PotentialField(eval_fn=ev, grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-                       bound=1.0)
+    U = PotentialField(lambda ts, deriv: lambda x: (
+        np.zeros_like(np.asarray(x, dtype=float)) if deriv else ev(x, ts)), bound=1.0)
     rows = []
     for _ in range(draw(st.integers(1, max_rows))):
         kind = draw(st.sampled_from(["dirac", "finite", "partial"]))
@@ -194,8 +194,8 @@ def tie_heavy_dp_instances(draw):
         ti = np.clip(np.round((np.asarray(t) - g.t1) / g.dt_eff), 0, n_steps + 1).astype(int)
         return vals[ti, xi]
 
-    U = PotentialField(eval_fn=ev, grad_fn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-                       bound=2.0)
+    U = PotentialField(lambda ts, deriv: lambda x: (
+        np.zeros_like(np.asarray(x, dtype=float)) if deriv else ev(x, ts)), bound=2.0)
     if draw(st.booleans()):
         lo = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=n_steps + 1,
                                     max_size=n_steps + 1)))
@@ -276,8 +276,8 @@ def test_nan_source_value_raises():
             sweep(zero_potential(), S0)
         assert not isinstance(err.value, DomainError)
         for t_nan, k in ((-1.0, 0), (0.2, 1)):
-            U = PotentialField(eval_fn=lambda x, t, t_nan=t_nan: np.where(t > t_nan, np.nan, 0.0 * x),
-                               grad_fn=lambda x, t: 0.0 * x, bound=1.0)
+            U = PotentialField(lambda ts, deriv, t_nan=t_nan: lambda x: (
+                0.0 * x if deriv else np.where(ts > t_nan, np.nan, 0.0 * x)), bound=1.0)
             with pytest.raises(DomainError, match=f"NaN source value at slice {k}"):
                 sweep(U, np.zeros(g.n_x))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hjlab.core import certify_potential, constant_potential, zero_potential
+from hjlab.core import certify_potential
 from hjlab.potentials import (FEASIBLE_HORIZON_MAX, GluedSchedule, PaceCurve,
                               _bump_grad, _bump_value,
                               ScheduleOverflowError, accelerating_potential,
@@ -254,6 +254,13 @@ def test_periodic_potential():
         periodic_potential(prof, period=0.0)
 
 
+def _modulation(U, ts):
+    """a(t) of a one-profile random field whose cosine profile has amplitude
+    1, phase 0 and wavenumber <= 2: the profile peaks at x = 0 with value 1
+    and the field's scale is C, so U(0, t) = C (1 + a(t)) / 2."""
+    return 2.0 * np.asarray(U.value(0.0, ts)) / U.bound - 1.0
+
+
 def test_random_potential_determinism_and_bounds():
     profiles = [cosine_profile(1.0, 0.7), cosine_profile(0.8, 1.6, 1.0)]
     U1 = random_potential(42, profiles, 2.0, t_min=-30.0, t_max=0.0, C=1.0)
@@ -267,10 +274,11 @@ def test_random_potential_determinism_and_bounds():
 
     res = certify_potential(U1, (-5, 5), (-30, 0), n=10_000, seed=9)
     assert res.ok
-    # clamped modulations
+    # clamped modulations, read off one-profile fields with U1's and U3's seeds
     tq = np.linspace(-30, 0, 4001)
-    for j in range(len(profiles)):
-        assert np.max(np.abs(U1.amplitude(j, tq))) <= 1.0
+    for seed in (42, 43):
+        U = random_potential(seed, profiles[:1], 2.0, t_min=-30.0, t_max=0.0, C=1.0)
+        assert np.max(np.abs(_modulation(U, tq))) <= 1.0
 
     with pytest.raises(ValueError):
         random_potential(1, [], 2.0, t_min=-1.0, t_max=0.0)
@@ -281,7 +289,7 @@ def test_random_potential_autocorrelation_decay():
     tau = 3.0
     U = random_potential(7, profiles, tau, t_min=-4000.0, t_max=0.0, C=1.0)
     ts = np.arange(-4000.0, 0.0, tau / 20.0)
-    a = np.asarray(U.amplitude(0, ts))
+    a = _modulation(U, ts)
     a = a - a.mean()
     lag_target = None
     for lag_steps in range(1, 200):
@@ -321,46 +329,6 @@ def test_potential_spec_round_trip():
 
 def test_feasible_horizon_guard_value():
     assert FEASIBLE_HORIZON_MAX == 1e12
-
-
-def _slice_fields():
-    """(field, t_lo, t_hi) for every kind that has a time slice."""
-    gs = glued_schedule(0.25, 2.0, 0.632, 1.0, 2.0, 3, cap=30.0)
-    profiles = [cosine_profile(1.0, 0.7), cosine_profile(0.8, 1.6, 1.0)]
-    return {
-        "zero": (zero_potential(), 0.0, 5.0),
-        "constant": (constant_potential(0.4), 0.0, 5.0),
-        "accelerating": (accelerating_potential(0.5, 0.0, 30.0, 0.632, 1.0, 2.0),
-                         0.0, 30.0),
-        "glued": (glued_potential(gs), -gs.S_final, 0.0),
-        "periodic": (periodic_potential(cosine_profile(1.0, 1.3), 1.0), -3.0, 3.0),
-        "random": (random_potential(4, profiles, 2.0, -30.0, 0.0), -30.0, 0.0),
-    }
-
-
-SLICE_FIELDS = _slice_fields()
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(sorted(SLICE_FIELDS)),
-       t_frac=arrays(np.float64, (40, 4), elements=st.floats(0.0, 1.0)),
-       ramp=arrays(np.float64, (40, 4), elements=st.floats(-2.5, 0.5)))
-def test_slices_equal_field_bitwise(kind, t_frac, ramp):
-    """time_slice / grad_slice reproduce value / grad bit for bit, with
-    positions placed across the bump's ramp where the field has an edge."""
-    U, t_lo, t_hi = SLICE_FIELDS[kind]
-    ts = t_lo + (t_hi - t_lo) * t_frac
-    if U.support_hint is not None:
-        edge = np.array([U.support_hint(t)[1] for t in ts.ravel()]).reshape(ts.shape)
-        xs = edge + ramp
-    else:
-        xs = 4.0 * ramp
-    for sliced, direct in ((U.time_slice(ts)(xs), U.value(xs, ts)),
-                           (U.grad_slice(ts)(xs), U.grad(xs, ts))):
-        sliced = np.asarray(sliced, dtype=np.float64)
-        direct = np.asarray(direct, dtype=np.float64)
-        assert sliced.shape == direct.shape
-        assert sliced.tobytes() == direct.tobytes()
 
 
 BUMP_SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, -2.0, -3.0,
@@ -432,15 +400,22 @@ def _glued_argument(sched, x, t):
     return out
 
 
+GLUED_SCHEDULE = glued_schedule(0.25, 2.0, 0.632, 1.0, 2.0, 3, cap=30.0)
+BUMP_FIELDS = {   # (field, t_lo, t_hi)
+    "accelerating": (accelerating_potential(0.5, 0.0, 30.0, 0.632, 1.0, 2.0), 0.0, 30.0),
+    "glued": (glued_potential(GLUED_SCHEDULE), -GLUED_SCHEDULE.S_final, 0.0),
+}
+
+
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["accelerating", "glued"]),
+@given(kind=st.sampled_from(sorted(BUMP_FIELDS)),
        t_frac=arrays(np.float64, (4, 12), elements=st.floats(0.0, 1.0)),
        ramp=arrays(np.float64, (4, 12), elements=st.floats(-3.0, 1.0)))
 def test_fields_equal_bump_of_their_argument(kind, t_frac, ramp):
     """The accelerating and glued fields, their time slices included, give
     bump(argument, C) bit for bit, with the argument built as each field
     defines it."""
-    U, t_lo, t_hi = SLICE_FIELDS[kind]
+    U, t_lo, t_hi = BUMP_FIELDS[kind]
     ts = t_lo + (t_hi - t_lo) * t_frac
     edge = np.array([U.support_hint(t)[1] for t in ts.ravel()]).reshape(ts.shape)
     xs = edge + ramp
@@ -449,8 +424,7 @@ def test_fields_equal_bump_of_their_argument(kind, t_frac, ramp):
         curve = PaceCurve(K=spec["K"], T=spec["t2"] - spec["t1"], beta=spec["beta"])
         arg = xs - spec["y"] + curve.value(np.clip(spec["t2"] - ts, 0.0, curve.T))
     else:
-        sched = glued_schedule(0.25, 2.0, 0.632, 1.0, 2.0, 3, cap=30.0)
-        arg = _glued_argument(sched, xs, ts)
+        arg = _glued_argument(GLUED_SCHEDULE, xs, ts)
     want_v, want_d = bump(arg, U.bound)
     for got, want in ((U.value(xs, ts), want_v), (U.time_slice(ts)(xs), want_v),
                       (U.grad(xs, ts), want_d), (U.grad_slice(ts)(xs), want_d)):
