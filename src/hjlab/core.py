@@ -103,8 +103,9 @@ class PotentialField:
     returns f with f(x) = U(x, ts), or dU/dx(x, ts) when ``deriv`` is true,
     so time-only work (e.g. pace-curve values) is done once per slice.  f
     must accept numpy arrays in x that broadcast against ``ts``.
-    ``support_hint`` optionally maps a time to the spatial interval where U
-    varies.
+    ``support_hint``, when given, maps times t (a scalar or an array) to the
+    bounds (lo, hi) of the spatial interval where U varies; hi is the edge
+    that a co-moving window follows.
     """
 
     slice_fn: Callable

@@ -173,23 +173,22 @@ class ScalingReport:
                    notes=d["notes"], version=d["version"])
 
 
-def scaling_grid(cfg: ExperimentConfig, T: float, K: float,
-                 x_targets: np.ndarray, margin: Optional[float] = None):
-    """Grid with its co-moving window for one accelerating-potential horizon."""
+def edge_grid(cfg: ExperimentConfig, U, t1: float, t2: float, T_pace: float,
+              dx: float, x_hi: float, margin: float) -> GridSpec:
+    """Grid on [t1, t2] with a co-moving window riding the edge of U.
+
+    The speed cap and the detachment cap scale with log T_pace.  The grid
+    starts the margin plus the bump's ramp (2 wide) below the edge at t1,
+    where the retreating edge lies lowest."""
     p = cfg.params
-    margin = cfg.margin if margin is None else margin
-    curve = PaceCurve(K=K, T=T, beta=cfg.beta)
-    g_total = curve.value(T)
-    lb = velocity_bound_lower(T, p)
-    dx = min(cfg.dx_max, lb.R_T / cfg.rt_fraction)
-    v_max = max(cfg.v_cap_factor * K * math.log(T) ** (2.0 / cfg.beta),
+    K2 = velocity_bound_lower(T_pace, p).K2
+    v_max = max(cfg.v_cap_factor * K2 * math.log(T_pace) ** (2.0 / cfg.beta),
                 2.0 * (p.C * p.beta) ** (1.0 / p.beta), 2.0)
     dt = cfg.stencil * dx / v_max
-    x_hi = float(max(x_targets.max() + 2 * dx, lb.R_T))
-    grid = GridSpec(x_min=-g_total - margin - 2.0, x_max=x_hi, dx=dx,
-                    t1=0.0, t2=T, dt=dt, v_max=v_max)
-    cap = max(40.0, cfg.detach_cap_factor * math.log(T) ** 2)
-    return comoving_window(curve, margin, grid, y=0.0, detach_cap=cap)
+    grid = GridSpec(x_min=float(U.support_hint(t1)[1]) - margin - 2.0,
+                    x_max=x_hi, dx=dx, t1=t1, t2=t2, dt=dt, v_max=v_max)
+    cap = max(40.0, cfg.detach_cap_factor * math.log(T_pace) ** 2)
+    return comoving_window(U, margin, grid, detach_cap=cap)
 
 
 def _backtrack_inside(table, x: float):
@@ -254,12 +253,12 @@ def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
 
 
 def _scaling_record(cfg: ExperimentConfig, T: float) -> HorizonRecord:
-    p = cfg.params
-    K2 = (cfg.C * cfg.beta / 5.0) ** (1.0 / cfg.beta)
-    lb = velocity_bound_lower(T, p)
+    lb = velocity_bound_lower(T, cfg.params)
     x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, cfg.n_targets)
-    U = accelerating_potential(y=0.0, t1=0.0, t2=T, K=K2, C=cfg.C, beta=cfg.beta)
+    U = accelerating_potential(y=0.0, t1=0.0, t2=T, K=lb.K2, C=cfg.C, beta=cfg.beta)
     s_window = min(cfg.s_window_max, T / 20.0)
+    dx = min(cfg.dx_max, lb.R_T / cfg.rt_fraction)
+    x_hi = float(max(x_targets.max() + 2 * dx, lb.R_T))
     # the final slice's window starts near -margin: the first attempt holds
     # the lowest target plus the bump's ramp (2 wide) and two cells to spare
     margin = max(cfg.margin, -float(x_targets.min()) + 2.0 + 2.0 * cfg.dx_max)
@@ -267,7 +266,7 @@ def _scaling_record(cfg: ExperimentConfig, T: float) -> HorizonRecord:
     # potential plateau, so trajectories may park below the riding band;
     # enlarge the margin and resolve when the certificate trips
     for attempt in range(3):
-        wgrid = scaling_grid(cfg, T, K2, x_targets, margin=margin)
+        wgrid = edge_grid(cfg, U, 0.0, T, T, dx, x_hi, margin)
         try:
             return _horizon_record(cfg, T, U, wgrid, x_targets, s_window,
                                    lower_bound=lb.bound)
@@ -459,22 +458,10 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         S_n = sched.S_final
         lbtop = velocity_bound_lower(max(T_top, 2.72), p)
         x_targets = np.linspace(-lbtop.R_T / 2.0, lbtop.R_T / 2.0, cfg.n_targets)
-
-        def edge_offset(s):
-            # distance the combined front has retreated at time-from-end s
-            return _glued_edge(sched, np.asarray(s, dtype=float))
-
-        g_total = float(edge_offset(np.array([S_n]))[0])
         dx = cfg.dx_max
-        v_max = max(cfg.v_cap_factor * K2 * math.log(max(T_top, 3.0)) ** (2.0 / cfg.beta),
-                    2.0 * (p.C * p.beta) ** (1.0 / p.beta), 2.0)
-        dt = cfg.stencil * dx / v_max
-        grid = GridSpec(x_min=-g_total - cfg.margin - 2.0,
-                        x_max=float(max(x_targets.max() + 2 * dx, lbtop.R_T)),
-                        dx=dx, t1=-S_n, t2=0.0, dt=dt, v_max=v_max)
-        cap = max(40.0, cfg.detach_cap_factor * math.log(max(T_top, 3.0)) ** 2)
-        wgrid = comoving_window(edge_offset, cfg.margin, grid, y=0.0,
-                                detach_cap=cap)
+        wgrid = edge_grid(cfg, U, -S_n, 0.0, max(T_top, 3.0), dx,
+                          float(max(x_targets.max() + 2 * dx, lbtop.R_T)),
+                          cfg.margin)
         s_window = min(cfg.s_window_max, sched.stages[0][0] / 10.0)
         rec = _horizon_record(
             cfg, float(S_n), U, wgrid, x_targets, s_window,
@@ -486,7 +473,7 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         # field's own O(eps log eps) time variation below the 1e-10 budget)
         defect = 0.0
         for (_, S_b, _) in sched.stages[:-1]:
-            xs = rng.uniform(grid.x_min, grid.x_max, 100)
+            xs = rng.uniform(wgrid.x_min, wgrid.x_max, 100)
             lft = np.asarray(U.value(xs, -S_b - 1e-12))
             rgt = np.asarray(U.value(xs, -S_b + 1e-12))
             defect = max(defect, float(np.max(np.abs(lft - rgt))))
@@ -512,22 +499,6 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
                               "residual": None, "span_decades": 0.0},
                          onset_T=None, flags=flags, notes=notes,
                          wall_times=walls)
-
-
-def _glued_edge(sched, s):
-    """Total front retreat of the glued potential at time-from-end s >= 0."""
-    S = np.array([st[1] for st in sched.stages])
-    S_prev = np.concatenate(([0.0], S[:-1]))
-    X_prev = np.concatenate(([0.0], [st[2] for st in sched.stages[:-1]]))
-    s = np.clip(np.asarray(s, dtype=float), 0.0, S[-1])
-    idx = np.minimum(np.searchsorted(S, s, side="right"), len(S) - 1)
-    out = np.empty_like(s)
-    for n in np.unique(idx):
-        mask = idx == n
-        T_n = sched.stages[n][0]
-        curve = PaceCurve(K=sched.K, T=T_n, beta=sched.beta)
-        out[mask] = X_prev[n] + curve.value(np.clip(s[mask] - S_prev[n], 0.0, T_n))
-    return out
 
 
 def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:

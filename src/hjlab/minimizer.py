@@ -20,7 +20,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ModelParams, PathAction, PotentialField, Trajectory, average_speed
-from .potentials import PaceCurve
 
 __all__ = [
     "GridSpec",
@@ -687,27 +686,27 @@ def velocity_bound_lower(T: float, p: ModelParams) -> LowerBound:
     return LowerBound(bound=scale / 2.0 ** (b / (b - 1.0)), R_T=scale / 2.0, K2=K2)
 
 
-def comoving_window(curve: Union[PaceCurve, Callable], margin: float,
-                    grid: GridSpec, y: float = 0.0,
+def comoving_window(U: PotentialField, margin: float, grid: GridSpec,
                     detach_cap: Optional[float] = None) -> GridSpec:
-    """Attach a per-slice window following the potential edge y - g(t2 - t).
+    """Attach a per-slice window following the edge of U, the upper end of
+    ``U.support_hint(t)``.
 
-    The lower edge is y - g(s) - margin.  The upper edge is the grid top
+    The lower edge is edge(t) - margin.  The upper edge is the grid top
     (spec shape) unless ``detach_cap`` is given, in which case slices earlier
-    than the cap (s > detach_cap) are clipped to y - g(s) + margin: the
+    than the cap (t2 - t > detach_cap) are clipped to edge(t) + margin: the
     minimizer provably detaches from the edge O((log T)^2) before the end, so
     earlier slices need only the riding band.  Backtracking certifies the
     choice: trajectories touching an edge raise :class:`WindowTouchError`.
     """
-    g = curve.value if isinstance(curve, PaceCurve) else curve
+    if U.support_hint is None:
+        raise ValueError("comoving_window needs a potential with a support_hint")
     times = grid.times()
-    s = grid.t2 - times
-    gs = np.asarray(g(s), dtype=float)
-    lower = y - gs - margin
+    edge = U.support_hint(times)[1]
+    lower = edge - margin
     upper = np.full_like(lower, grid.x_max)
     if detach_cap is not None:
-        early = s > detach_cap
-        upper[early] = np.minimum(grid.x_max, y - gs[early] + margin)
+        early = grid.t2 - times > detach_cap
+        upper[early] = np.minimum(grid.x_max, edge[early] + margin)
     lo = np.maximum(0, np.floor((lower - grid.x_min) / grid.dx)).astype(np.int64)
     hi = np.minimum(grid.n_x - 1,
                     np.ceil((upper - grid.x_min) / grid.dx)).astype(np.int64)

@@ -244,7 +244,7 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
         return lambda x: kernel(np.asarray(x, dtype=float) - y + g, C)
 
     def support_hint(t):
-        g = curve.value(float(np.clip(t2 - t, 0.0, curve.T)))
+        g = curve.value(np.clip(t2 - t, 0.0, curve.T))
         return (y - g - 2.0, y - g)
 
     return PotentialField(
@@ -329,9 +329,7 @@ def glued_schedule(epsilon: float, Tbar: float, K: float, C: float, beta: float,
                          stages=tuple(stages), Kbar=kbar, capped=capped, cap=cap)
 
 
-def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
-                    K: Optional[float] = None,
-                    beta: Optional[float] = None) -> PotentialField:
+def glued_potential(schedule: GluedSchedule) -> PotentialField:
     """Concatenated accelerating potential on t in (-S_n_max, 0].
 
     On stage n (t in (-S_n, -S_{n-1}]) the field is
@@ -339,12 +337,11 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
     -X_n and ends at -X_{n-1}, so consecutive stages join continuously and
     stage 1 finishes with bump(x) at t = 0.
     """
-    C = schedule.C if C is None else C
+    C = schedule.C
     if C < 0:
         raise ValueError("C must be >= 0")
-    K = schedule.K if K is None else K
-    beta = schedule.beta if beta is None else beta
-    curves = [PaceCurve(K=K, T=T_n, beta=beta) for (T_n, _, _) in schedule.stages]
+    curves = [PaceCurve(K=schedule.K, T=T_n, beta=schedule.beta)
+              for (T_n, _, _) in schedule.stages]
     S = np.array([st[1] for st in schedule.stages])       # S_1..S_n
     S_prev = np.concatenate(([0.0], S[:-1]))              # S_0..S_{n-1}
     X_prev = np.concatenate(([0.0], [st[2] for st in schedule.stages[:-1]]))
@@ -371,7 +368,7 @@ def glued_potential(schedule: GluedSchedule, C: Optional[float] = None,
 
     def support_hint(t):
         offset, g = _stage(t)
-        a = float(offset + g)   # the argument at x = 0 gives the edge offset
+        a = offset + g   # the argument at x = 0 gives the edge offset
         return (-a - 2.0, -a)
 
     return PotentialField(_slice, bound=C, support_hint=support_hint,

@@ -12,10 +12,11 @@ import pytest
 from hjlab import reports
 from hjlab.cli import main as cli_main
 from hjlab.experiments import (ExperimentConfig, HorizonRecord, ScalingReport,
-                               _horizon_record, run_conjecture_probe,
+                               _horizon_record, edge_grid, run_conjecture_probe,
                                run_lemma_suite, run_scaling)
 from hjlab.minimizer import DomainError, GridSpec, velocity_bound_lower
-from hjlab.potentials import accelerating_potential
+from hjlab.potentials import (accelerating_potential, glued_potential,
+                              glued_schedule)
 from hjlab.reports import canonical_json, emit, report_csv, report_svg
 
 
@@ -117,11 +118,24 @@ def test_glued_report_content(glued_report):
 
 
 def test_glued_stage1_is_plain_scaling_run():
-    # n = 1 demo equals a plain accelerating run at T = T1 by construction:
-    # checked as exact field equality in test_potentials; here check the
-    # report labels the capped schedule
-    rep_cfg = ExperimentConfig(kind="glued-demo")
-    assert rep_cfg.glue_n_max == 2
+    # a one-stage glued field is the accelerating field on [-T1, 0]: the same
+    # edge grid rides the same edge and measures the same record
+    cfg = ExperimentConfig(kind="scaling")
+    lb = velocity_bound_lower(50.0, cfg.params)
+    glued = glued_potential(glued_schedule(0.25, 50.0, lb.K2, 1.0, 2.0, 1))
+    accel = accelerating_potential(0.0, -50.0, 0.0, lb.K2, 1.0, 2.0)
+    x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, cfg.n_targets)
+    dx = min(cfg.dx_max, lb.R_T / cfg.rt_fraction)
+    x_hi = float(max(x_targets.max() + 2 * dx, lb.R_T))
+    grids = [edge_grid(cfg, U, -50.0, 0.0, 50.0, dx, x_hi, cfg.margin)
+             for U in (glued, accel)]
+    assert grids[0].x_min == grids[1].x_min
+    assert np.array_equal(grids[0].window.lo, grids[1].window.lo)
+    assert np.array_equal(grids[0].window.hi, grids[1].window.hi)
+    recs = [_horizon_record(cfg, 50.0, U, g, x_targets, 0.5).to_dict()
+            for U, g in zip((glued, accel), grids)]
+    assert recs[0] == recs[1]
+    assert min(recs[0]["speeds"]) > 3.0
 
 
 def test_conjecture_probe_deterministic(tmp_path):
@@ -387,13 +401,12 @@ def test_scaling_first_margin_holds_lowest_target(tmp_path, monkeypatch):
     import hjlab.experiments
 
     margins = []
-    scaling_grid = hjlab.experiments.scaling_grid
 
-    def spy(cfg, T, K2, x_targets, margin=None):
+    def spy(cfg, U, t1, t2, T_pace, dx, x_hi, margin):
         margins.append(margin)
-        return scaling_grid(cfg, T, K2, x_targets, margin=margin)
+        return edge_grid(cfg, U, t1, t2, T_pace, dx, x_hi, margin)
 
-    monkeypatch.setattr(hjlab.experiments, "scaling_grid", spy)
+    monkeypatch.setattr(hjlab.experiments, "edge_grid", spy)
     recs = {}
     for margin in (0.1, 10.0):
         cfg = ExperimentConfig(kind="scaling", horizons=[60.0], margin=margin,

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -23,6 +24,39 @@ def test_every_export_resolves():
     ns = {}
     exec("from hjlab import *", ns)
     assert "solve_dp" in ns and "PaceCurve" in ns
+
+
+def _hjlab_imports(module: str) -> set:
+    """The hjlab modules that hjlab.<module> imports anywhere in its source."""
+    path = os.path.join(os.path.dirname(hjlab.__file__), module + ".py")
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif (node.module or "").startswith("hjlab."):
+                base = node.module[len("hjlab."):]
+            elif node.module == "hjlab":
+                base = None
+            else:
+                continue
+            found |= {base} if base else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name[len("hjlab."):] for a in node.names
+                      if a.name.startswith("hjlab.")}
+    return found
+
+
+def test_module_layering():
+    """core sits at the bottom; potentials and minimizer build only on it,
+    and laxoleinik only on core and minimizer, so the numerical layers never
+    reach up into the potential constructors or the experiments."""
+    assert _hjlab_imports("core") == set()
+    assert _hjlab_imports("potentials") == {"core"}
+    assert _hjlab_imports("minimizer") == {"core"}
+    assert _hjlab_imports("laxoleinik") == {"core", "minimizer"}
 
 
 _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",

@@ -15,7 +15,8 @@ from hjlab.minimizer import (DomainError, GridSpec, Window, WindowTouchError,
                              progression_margins, refine, solve_dp, solve_dp_batched,
                              terminal_velocity,
                              velocity_bound_lower, velocity_bound_upper)
-from hjlab.potentials import PaceCurve, accelerating_potential
+from hjlab.potentials import (PaceCurve, accelerating_potential, cosine_profile,
+                              glued_potential, glued_schedule, periodic_potential)
 
 P2 = ModelParams(beta=2.0, C=1.0)
 K2 = math.sqrt(2.0 / 5.0)
@@ -339,13 +340,13 @@ def test_windowed_equals_full_and_detach_cap():
     full = solve_dp(U, grid, None, P2)
     tr_full = backtrack(full, 0.0)
 
-    wgrid = comoving_window(curve, 8.0, grid)
+    wgrid = comoving_window(U, 8.0, grid)
     win = solve_dp(U, wgrid, None, P2)
     tr_win = backtrack(win, 0.0)
     assert np.array_equal(tr_full.positions, tr_win.positions)
     assert full.value_at(0.0) == win.value_at(0.0)
 
-    capped = comoving_window(curve, 8.0, grid, detach_cap=20.0)
+    capped = comoving_window(U, 8.0, grid, detach_cap=20.0)
     cap_tab = solve_dp(U, capped, None, P2)
     tr_cap = backtrack(cap_tab, 0.0)
     assert np.array_equal(tr_full.positions, tr_cap.positions)
@@ -355,10 +356,32 @@ def test_windowed_equals_full_and_detach_cap():
     assert cells_cap < 0.6 * cells_full
 
 
+def test_windowed_equals_full_on_glued_field():
+    # the window follows the glued field's own edge across the stage join
+    sched = glued_schedule(0.25, 5.0, K2, 1.0, 2.0, 2, cap=30.0)
+    U, S = glued_potential(sched), sched.S_final
+    grid = GridSpec(U.support_hint(-S)[1] - 10.0, 1.0, 0.1, -S, 0.0, 0.05, 6.0)
+    wgrid = comoving_window(U, 8.0, grid)
+    assert np.sum(wgrid.window.width()) < 0.8 * grid.n_x * (grid.n_steps + 1)
+    full = solve_dp(U, grid, None, P2)
+    win = solve_dp(U, wgrid, None, P2)
+    for x in (-0.5, 0.0, 0.5):
+        assert np.array_equal(backtrack(full, x).positions,
+                              backtrack(win, x).positions)
+        assert full.value_at(x) == win.value_at(x)
+
+
+def test_comoving_window_needs_support_hint():
+    U = periodic_potential(cosine_profile(1.0), 1.0)
+    grid = GridSpec(-5.0, 5.0, 0.1, 0.0, 1.0, 0.05, 6.0)
+    with pytest.raises(ValueError, match="support_hint"):
+        comoving_window(U, 8.0, grid)
+
+
 def test_window_touch_error():
     T = 50.0
     U, curve, grid, lb = _accel_setup(T)
-    tight = comoving_window(curve, 1.9, grid)   # below the bump width
+    tight = comoving_window(U, 1.9, grid)   # below the bump width
     tab = solve_dp(U, tight, None, P2)
     with pytest.raises(WindowTouchError):
         backtrack(tab, 0.0)
@@ -367,7 +390,7 @@ def test_window_touch_error():
 def test_comoving_cell_reduction_at_1e3():
     T = 1000.0
     U, curve, grid, lb = _accel_setup(T, margin=10.0, stencil=30)
-    capped = comoving_window(curve, 10.0, grid,
+    capped = comoving_window(U, 10.0, grid,
                              detach_cap=max(40.0, 4 * math.log(T) ** 2))
     cells_full = grid.n_x * (grid.n_steps + 1)
     cells_win = int(np.sum(capped.window.width()))
@@ -400,7 +423,7 @@ def test_refine_perturbed_line_approaches_jensen():
 def test_refine_reduces_el_residual():
     T = 50.0
     U, curve, grid, lb = _accel_setup(T)
-    wgrid = comoving_window(curve, 8.0, grid)
+    wgrid = comoving_window(U, 8.0, grid)
     tab = solve_dp(U, wgrid, None, P2)
     tr = backtrack(tab, 0.0)
     out = refine(tr, U, P2, passes=8)
@@ -436,7 +459,7 @@ def test_terminal_velocity_uniform_and_bracket():
 def test_terminal_velocity_cross_estimators_T200():
     T = 200.0
     U, curve, grid, lb = _accel_setup(T, margin=10.0, stencil=30)
-    wgrid = comoving_window(curve, 10.0, grid,
+    wgrid = comoving_window(U, 10.0, grid,
                             detach_cap=max(40.0, 4 * math.log(T) ** 2))
     tab = solve_dp(U, wgrid, None, P2)
     tr = refine(backtrack(tab, 0.0), U, P2, passes=8)
@@ -488,7 +511,7 @@ def test_free_left_transversality_first_order():
 def test_wT_lemma_and_progression_on_accelerating_run(random_minimizer_sweep):
     T = 50.0
     U, curve, grid, lb = _accel_setup(T)
-    wgrid = comoving_window(curve, 8.0, grid)
+    wgrid = comoving_window(U, 8.0, grid)
     tab = solve_dp(U, wgrid, None, P2)
     tr = backtrack(tab, 0.0)
     assert lemma_wT_margin(tr, P2, grid.dx) >= 0.0
