@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .core import ModelParams
-from .experiments import ExperimentConfig, _backtrack_inside, run_experiment
+from .experiments import (EXPERIMENTS, ExperimentConfig, _backtrack_inside,
+                          run_experiment)
 from .laxoleinik import (gridfunction_from_csv, gridfunction_to_csv, kernel,
                          kernel_to_csv, minplus_apply)
 from .minimizer import (DomainError, GridSpec, WindowTouchError, refine,
@@ -32,17 +33,14 @@ from .reports import canonical_json, emit
 
 ENV_PREFIX = "HJLAB_"
 
-HARD_FLAGS = {
-    # fit_in_range is None (not False) when the fit is suppressed: "skipped", not failed
-    "scaling": ["monotone_v", "onset_found", "wT_lemma_ok", "progression_ok",
-                "fit_in_range"],
-    "periodic-control": ["ratio_within_10pct", "no_monotone_growth",
-                         "domination_preserved", "liplarge_bounded",
-                         "wT_lemma_ok"],
-    "glued-demo": ["per_stage_increase", "continuity_ok"],
-    "lemma-suite": ["all_passed"],
-    "conjecture-probe": [],
-}
+HARD_FLAGS = {kind: list(e.hard_flags) for kind, e in EXPERIMENTS.items()}
+
+# `hjlab potential` flags: each sets the spec key of its name (--n-max sets n_max)
+_SPEC_FLAGS = {"kind": str, "beta": float, "C": float, "K": float, "t1": float,
+               "t2": float, "y": float, "level": float, "period": float,
+               "seed": int, "epsilon": float, "Tbar": float, "n_max": int,
+               "cap": float, "correlation_time": float, "t_min": float,
+               "t_max": float, "modulation": str}
 
 
 class ConfigError(Exception):
@@ -85,10 +83,8 @@ def _add_globals(sp):
 def _cmd_potential(args) -> int:
     merged = _resolve_globals(args)
     spec = dict(merged.get("potential", {}))
-    for key in ("kind", "beta", "C", "K", "t1", "t2", "y", "period", "seed",
-                "level", "epsilon", "Tbar", "n_max", "cap",
-                "correlation_time", "t_min", "t_max", "modulation"):
-        v = getattr(args, key.replace("-", "_"), None)
+    for key in _SPEC_FLAGS:
+        v = getattr(args, key)
         if v is not None:
             spec[key] = v
     if spec.get("kind") == "periodic" and "profile" not in spec:
@@ -120,21 +116,28 @@ def _trajectory_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_potential(path):
+def _load_model(path):
+    """The potential stored at path, and its model parameters: the spec's
+    beta (2 when absent) and C = the field's bound."""
     try:
         with open(path) as f:
-            return potential_from_spec(json.load(f))
+            U = potential_from_spec(json.load(f))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         raise ConfigError(f"cannot load potential {path}: {e}") from e
+    return U, ModelParams(beta=U.spec.get("beta", 2.0), C=max(U.bound, 1e-12))
+
+
+def _duration(args) -> float:
+    """t2 - t1 of a minimize, kernel or evolve run, which must be positive."""
+    T = args.t2 - args.t1
+    if not T > 0:
+        raise ConfigError("need t2 > t1")
+    return T
 
 
 def _cmd_minimize(args) -> int:
-    U = _load_potential(args.potential)
-    beta = U.spec.get("beta", 2.0)
-    p = ModelParams(beta=beta, C=max(U.bound, 1e-12))
-    T = args.t2 - args.t1
-    if T <= 0:
-        raise ConfigError("need t2 > t1")
+    T = _duration(args)
+    U, p = _load_model(args.potential)
     v_max = args.v_max if args.v_max else 1.5 * velocity_bound_upper(max(T, 1.01), p)
     lo0 = None
     if U.support_hint is not None:
@@ -167,11 +170,10 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    U = _load_potential(args.potential)
-    beta = U.spec.get("beta", 2.0)
-    p = ModelParams(beta=beta, C=max(U.bound, 1e-12))
+    T = _duration(args)
+    U, p = _load_model(args.potential)
     v_max = args.v_max if args.v_max else \
-        max(2.0 * (args.x_max - args.x_min) / (args.t2 - args.t1), 4.0)
+        max(2.0 * (args.x_max - args.x_min) / T, 4.0)
     grid = GridSpec(x_min=args.x_min, x_max=args.x_max, dx=args.dx,
                     t1=args.t1, t2=args.t2, dt=args.dt, v_max=v_max)
     kern = kernel(U, args.t1, args.t2, grid, p)
@@ -181,9 +183,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    U = _load_potential(args.potential)
-    beta = U.spec.get("beta", 2.0)
-    p = ModelParams(beta=beta, C=max(U.bound, 1e-12))
+    T = _duration(args)
+    U, p = _load_model(args.potential)
     with open(args.initial) as f:
         S = gridfunction_from_csv(f.read())
     nodes = S.nodes
@@ -194,7 +195,7 @@ def _cmd_evolve(args) -> int:
         raise ConfigError("initial grid function must sit on a uniform lattice")
     dx = float(dxs[0])
     v_max = args.v_max if args.v_max else \
-        max(2.0 * (nodes[-1] - nodes[0]) / (args.t2 - args.t1), 4.0)
+        max(2.0 * (nodes[-1] - nodes[0]) / T, 4.0)
     dt = args.dt if args.dt else 16.0 * dx / v_max
     grid = GridSpec(x_min=float(nodes[0]), x_max=float(nodes[-1]), dx=dx,
                     t1=args.t1, t2=args.t2, dt=dt, v_max=v_max)
@@ -240,24 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("potential", help="build and serialize a potential spec")
     _add_globals(sp)
-    sp.add_argument("--kind", help="zero|constant|accelerating|glued|periodic|random")
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--K", type=float)
-    sp.add_argument("--t1", type=float)
-    sp.add_argument("--t2", type=float)
-    sp.add_argument("--y", type=float)
-    sp.add_argument("--level", type=float)
-    sp.add_argument("--period", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--Tbar", type=float)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--cap", type=float)
-    sp.add_argument("--correlation-time", dest="correlation_time", type=float)
-    sp.add_argument("--t-min", dest="t_min", type=float)
-    sp.add_argument("--t-max", dest="t_max", type=float)
-    sp.add_argument("--modulation")
+    for key, typ in _SPEC_FLAGS.items():
+        sp.add_argument("--" + key.replace("_", "-"), type=typ, help=(
+            "zero|constant|accelerating|glued|periodic|random"
+            if key == "kind" else None))
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_potential)
 
@@ -301,12 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_evolve)
 
-    for kind, cmd in (("scaling", "scaling"),
-                      ("periodic-control", "periodic-control"),
-                      ("glued-demo", "glued-demo"),
-                      ("lemma-suite", "check-lemmas"),
-                      ("conjecture-probe", "conjecture-probe")):
-        sp = sub.add_parser(cmd, help=f"run the {kind} experiment")
+    for kind, e in EXPERIMENTS.items():
+        sp = sub.add_parser(e.command, help=f"run the {kind} experiment")
         _add_globals(sp)
         sp.add_argument("--horizons", help="comma-separated horizon list")
         sp.add_argument("--seeds", help="comma-separated seed list")

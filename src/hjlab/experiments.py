@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,11 +39,10 @@ __all__ = [
     "run_glued_demo",
     "run_lemma_suite",
     "run_conjecture_probe",
+    "Experiment",
+    "EXPERIMENTS",
     "run_experiment",
 ]
-
-KINDS = ("scaling", "periodic-control", "glued-demo", "lemma-suite",
-         "conjecture-probe")
 
 
 @dataclass
@@ -84,7 +83,7 @@ class ExperimentConfig:
     periodic_targets: list = field(default_factory=lambda: [0.5, 1.5, 2.5])
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.profile not in ("ci", "large"):
             raise ValueError("profile must be 'ci' or 'large'")
@@ -93,16 +92,9 @@ class ExperimentConfig:
             # the bump off: every minimizer stays static (v = 0)
             raise ValueError(f"margin must be > 0, got {self.margin}")
         if self.horizons is None:
-            if self.kind == "scaling":
-                self.horizons = [50.0, 200.0, 1000.0]
-                if self.profile == "large":
-                    self.horizons.append(10000.0)
-            elif self.kind == "periodic-control":
-                self.horizons = [100.0, 316.0, 1000.0]
-            elif self.kind == "conjecture-probe":
-                self.horizons = [20.0, 50.0, 200.0]
-            else:
-                self.horizons = []
+            self.horizons = list(EXPERIMENTS[self.kind].horizons)
+            if self.kind == "scaling" and self.profile == "large":
+                self.horizons.append(10000.0)
         self.horizons = [float(T) for T in self.horizons]
         if any(T <= math.e for T in self.horizons):
             raise ValueError("all horizons must exceed e (log T > 1)")
@@ -141,15 +133,20 @@ class HorizonRecord:
         return asdict(self)
 
 
+def _disabled_fit(span_decades: float = 0.0) -> dict:
+    return {"enabled": False, "p": None, "a": None, "residual": None,
+            "span_decades": span_decades}
+
+
 @dataclass
 class ScalingReport:
     kind: str
     config: dict
     records: list                      # HorizonRecord dicts, sorted by (T, seed)
-    fit: dict
-    onset_T: Optional[float]
     flags: dict
     notes: list
+    fit: dict = field(default_factory=_disabled_fit)
+    onset_T: Optional[float] = None
     version: str = __version__
     wall_times: dict = field(default_factory=dict)   # volatile; not serialized
 
@@ -283,8 +280,7 @@ def _fit_exponent(records) -> dict:
     vs = np.array([r["v"] for r in records])
     span_decades = math.log10(Ts.max() / Ts.min()) if len(Ts) > 1 else 0.0
     if len(Ts) < 3 or span_decades < 1.3:
-        return {"enabled": False, "p": None, "a": None, "residual": None,
-                "span_decades": span_decades}
+        return _disabled_fit(span_decades)
     X = np.log(np.log(Ts))
     Y = np.log(vs)
     coef = np.polyfit(X, Y, 1)
@@ -344,7 +340,7 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingReport:
              "and sandwich brackets are in the records",
              "upper bound is advisory: the proof constant omits a "
              "non-constructive threshold term"]
-    return ScalingReport(kind="scaling", config=cfg.to_dict(), records=records,
+    return ScalingReport(kind=cfg.kind, config=cfg.to_dict(), records=records,
                          fit=fit, onset_T=onset, flags=flags, notes=notes,
                          wall_times=walls)
 
@@ -392,19 +388,18 @@ def run_periodic_control(cfg: ExperimentConfig) -> ScalingReport:
         "liplarge_bounded": suite["liplarge_ok"],
         "wT_lemma_ok": all(r["wT_margin"] >= 0.0 for r in records),
     }
-    fit = {"enabled": False, "p": None, "a": None, "residual": None,
-           "span_decades": math.log10(cfg.horizons[-1] / cfg.horizons[0])}
     notes = [f"largest-two-horizon max-speed ratio: {ratio:.6f}",
              "operator suite: " + suite["summary"]]
-    return ScalingReport(kind="periodic-control", config=cfg.to_dict(),
-                         records=records + [suite["record"]], fit=fit,
-                         onset_T=None, flags=flags, notes=notes,
-                         wall_times=walls)
+    return ScalingReport(
+        kind=cfg.kind, config=cfg.to_dict(),
+        records=records + [suite["record"]], flags=flags, notes=notes,
+        fit=_disabled_fit(math.log10(cfg.horizons[-1] / cfg.horizons[0])),
+        wall_times=walls)
 
 
-def _operator_regularity_suite(cfg: ExperimentConfig, U, n_steps: int = 20):
-    """Iterate the period-1 solution operator from S = 0 and track the
-    domination defect and Lipschitz-in-the-large constant."""
+def _operator_regularity_suite(cfg: ExperimentConfig, U):
+    """Iterate the period-1 solution operator 20 times from S = 0 and track
+    the domination defect and Lipschitz-in-the-large constant."""
     p = cfg.params
     halo = 4.0 * math.pi / cfg.wavenumber + 2.0
     v_max = 4.0 * (p.alpha * p.C) ** (1.0 / p.beta)
@@ -414,7 +409,7 @@ def _operator_regularity_suite(cfg: ExperimentConfig, U, n_steps: int = 20):
     kern = kernel(U, 0.0, cfg.period, grid, p)
     S = GridFunction(kern.source_nodes, np.zeros(len(kern.source_nodes)))
     defects, consts = [], []
-    for _ in range(n_steps):
+    for _ in range(20):
         defects.append(domination_defect(S, kern, p.C))
         consts.append(lipschitz_in_large_constant(S))
         S, _ = minplus_apply(kern, S)
@@ -428,7 +423,7 @@ def _operator_regularity_suite(cfg: ExperimentConfig, U, n_steps: int = 20):
         "liplarge_constants": [float(c) for c in consts],
         "liplarge_bound": float(lip_bound),
         "kernel_lower_violation": lo, "kernel_upper_violation": up,
-        "steps": n_steps,
+        "steps": len(defects),
     }
     return {"domination_ok": ok_dom, "liplarge_ok": ok_lip, "record": record,
             "summary": (f"max domination defect {max(defects):.3g}, "
@@ -445,7 +440,7 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
     if cfg.kind != "glued-demo":
         raise ValueError("config kind must be 'glued-demo'")
     p = cfg.params
-    K2 = (cfg.C * cfg.beta / 5.0) ** (1.0 / cfg.beta)
+    K2 = velocity_bound_lower(math.e, p).K2   # K2 does not depend on T
     full = glued_schedule(cfg.glue_epsilon, cfg.glue_Tbar, K2, cfg.C, cfg.beta,
                           cfg.glue_n_max, cap=cfg.glue_cap)
     rng = np.random.default_rng(0)   # drawn stage after stage: keep serial
@@ -456,10 +451,13 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         U = glued_potential(sched)
         T_top = sched.stages[-1][0]
         S_n = sched.S_final
-        lbtop = velocity_bound_lower(max(T_top, 2.72), p)
+        # targets and grid share one pace horizon, kept above e so that
+        # log T_pace > 1 on a short top stage
+        T_pace = max(T_top, 3.0)
+        lbtop = velocity_bound_lower(T_pace, p)
         x_targets = np.linspace(-lbtop.R_T / 2.0, lbtop.R_T / 2.0, cfg.n_targets)
         dx = cfg.dx_max
-        wgrid = edge_grid(cfg, U, -S_n, 0.0, max(T_top, 3.0), dx,
+        wgrid = edge_grid(cfg, U, -S_n, 0.0, T_pace, dx,
                           float(max(x_targets.max() + 2 * dx, lbtop.R_T)),
                           cfg.margin)
         s_window = min(cfg.s_window_max, sched.stages[0][0] / 10.0)
@@ -493,11 +491,8 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
              f"stage-boundary continuity max defect {continuity_max:.3e}",
              f"schedule stages (T_n, S_n, X_n): "
              f"{[list(map(float, st)) for st in full.stages]}"]
-    return ScalingReport(kind="glued-demo", config=cfg.to_dict(),
-                         records=records,
-                         fit={"enabled": False, "p": None, "a": None,
-                              "residual": None, "span_decades": 0.0},
-                         onset_T=None, flags=flags, notes=notes,
+    return ScalingReport(kind=cfg.kind, config=cfg.to_dict(),
+                         records=records, flags=flags, notes=notes,
                          wall_times=walls)
 
 
@@ -641,12 +636,9 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
 
     flags = {"all_passed": all(r["passed"] for r in rows),
              "checks": len(rows)}
-    return ScalingReport(kind="lemma-suite", config=cfg.to_dict(), records=rows,
-                         fit={"enabled": False, "p": None, "a": None,
-                              "residual": None, "span_decades": 0.0},
-                         onset_T=None, flags=flags,
-                         notes=[f"calibrated s2 margin constant: {mbar}"],
-                         wall_times={})
+    return ScalingReport(kind=cfg.kind, config=cfg.to_dict(), records=rows,
+                         flags=flags,
+                         notes=[f"calibrated s2 margin constant: {mbar}"])
 
 
 def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
@@ -689,22 +681,44 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
         plateau[str(seed)] = float(v_hi / v_lo) if v_lo > 0 else float("nan")
     flags = {"exploratory": True,
              "plateau_statistic": plateau}
-    return ScalingReport(kind="conjecture-probe", config=cfg.to_dict(),
-                         records=records, fit={"enabled": False, "p": None,
-                                               "a": None, "residual": None,
-                                               "span_decades": 0.0},
-                         onset_T=None, flags=flags,
+    return ScalingReport(kind=cfg.kind, config=cfg.to_dict(),
+                         records=records, flags=flags,
                          notes=["exploratory probe: no pass/fail; plateau "
                                 "statistic is v(T_max)/v(T_min) per seed"],
                          wall_times=walls)
 
 
+class Experiment(NamedTuple):
+    """One experiment kind: its runner, its ``hjlab`` command, its default
+    horizons (the large profile adds T = 1e4 to scaling's) and the report
+    flags that fail the command when false."""
+
+    run: Callable[[ExperimentConfig], ScalingReport]
+    command: str
+    horizons: tuple
+    hard_flags: tuple
+
+
+# The only list of experiment kinds: config defaults, dispatch, the CLI
+# commands and their hard flags all read it, so a new kind is a runner plus a row.
+EXPERIMENTS = {
+    # fit_in_range is None (not False) when the fit is suppressed: "skipped", not failed
+    "scaling": Experiment(run_scaling, "scaling", (50.0, 200.0, 1000.0),
+                          ("monotone_v", "onset_found", "wT_lemma_ok",
+                           "progression_ok", "fit_in_range")),
+    "periodic-control": Experiment(run_periodic_control, "periodic-control",
+                                   (100.0, 316.0, 1000.0),
+                                   ("ratio_within_10pct", "no_monotone_growth",
+                                    "domination_preserved", "liplarge_bounded",
+                                    "wT_lemma_ok")),
+    "glued-demo": Experiment(run_glued_demo, "glued-demo", (),
+                             ("per_stage_increase", "continuity_ok")),
+    "lemma-suite": Experiment(run_lemma_suite, "check-lemmas", (),
+                              ("all_passed",)),
+    "conjecture-probe": Experiment(run_conjecture_probe, "conjecture-probe",
+                                   (20.0, 50.0, 200.0), ()),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> ScalingReport:
-    runner = {
-        "scaling": run_scaling,
-        "periodic-control": run_periodic_control,
-        "glued-demo": run_glued_demo,
-        "lemma-suite": run_lemma_suite,
-        "conjecture-probe": run_conjecture_probe,
-    }[cfg.kind]
-    return runner(cfg)
+    return EXPERIMENTS[cfg.kind].run(cfg)

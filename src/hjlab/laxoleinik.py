@@ -90,31 +90,29 @@ class GridFunction:
 
 
 def kernel(U: PotentialField, t1: float, t2: float, grid: GridSpec,
-           p: ModelParams, source_stride: int = 1) -> Kernel:
+           p: ModelParams) -> Kernel:
     """Action kernel on the grid's node lattice by batched Dirac sweeps.
 
     One DP row per source node: the sweep starts from 0 at the source and
     +inf elsewhere, so row i of the result is A(y_i, x_j) for every target.
-    ``source_stride`` subsamples the source set (targets stay dense).
 
-    The sweep holds two ``rows x n_x`` float64 matrices at once, the Dirac
+    The sweep holds two ``n_x x n_x`` float64 matrices at once, the Dirac
     starts and the swept values.  A kernel whose two matrices would exceed
-    1 GiB (``_KERNEL_BYTE_BUDGET``; 8192 x 8192 nodes at stride 1) raises
+    1 GiB (``_KERNEL_BYTE_BUDGET``; 8192 x 8192 nodes) raises
     ``ValueError`` before either is allocated.
     """
     inner = GridSpec(grid.x_min, grid.x_max, grid.dx, t1, t2, grid.dt, grid.v_max)
     nodes = inner.nodes()
     n = inner.n_x
-    rows = np.arange(0, n, source_stride)
-    need = 2 * len(rows) * n * 8
+    need = 2 * n * n * 8
     if need > _KERNEL_BYTE_BUDGET:
-        raise ValueError(f"a {len(rows)} x {n} kernel needs {need} bytes for its two "
+        raise ValueError(f"a {n} x {n} kernel needs {need} bytes for its two "
                          f"live matrices, over the {_KERNEL_BYTE_BUDGET}-byte "
-                         "budget; coarsen dx or raise source_stride")
-    S0 = np.full((len(rows), n), np.inf)
-    S0[np.arange(len(rows)), rows] = 0.0
+                         "budget; coarsen dx")
+    S0 = np.full((n, n), np.inf)
+    np.fill_diagonal(S0, 0.0)
     entries = solve_dp_batched(U, inner, S0, p)
-    return Kernel(source_nodes=nodes[rows], target_nodes=nodes, t1=t1, t2=t2,
+    return Kernel(source_nodes=nodes, target_nodes=nodes, t1=t1, t2=t2,
                   entries=entries,
                   meta={"dx": inner.dx, "dt": inner.dt_eff, "v_max": inner.v_max,
                         "potential": dict(U.spec), "beta": p.beta, "C": p.C})

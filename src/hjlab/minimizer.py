@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -216,15 +216,14 @@ def _priority_scan(buf, W, half, off_dtype):
 
 
 def solve_dp(U: PotentialField, grid: GridSpec,
-             S0: Union[None, Callable, np.ndarray],
-             p: ModelParams) -> ValueTable:
+             S0: Optional[np.ndarray], p: ModelParams) -> ValueTable:
     """Bellman sweep for the kick-form discrete action.
 
     values[k+1][j] = min over |x_i - x_j| <= v_max*dt of
         values[k][i] + |x_j - x_i|^beta/(beta dt^(beta-1)) - dt U(x_i, t_k),
     ties broken toward the smaller displacement, then the smaller source
-    index.  S0 may be None (zeros: free left endpoint), a callable of x, or
-    an array over the first slice's nodes.
+    index.  S0 is None (zeros: free left endpoint) or an array over the
+    first slice's nodes.
 
     Each target takes the first minimum of its 2m+1 candidates in the
     priority order (|offset|, offset): 0, -1, +1, ..., -m, +m.  On narrow
@@ -253,8 +252,6 @@ def solve_dp(U: PotentialField, grid: GridSpec,
 
     if S0 is None:
         prev = np.zeros(hi0 - lo0 + 1)
-    elif callable(S0):
-        prev = np.asarray(S0(x_all[lo0:hi0 + 1]), dtype=float)
     else:
         prev = np.asarray(S0, dtype=float)
         if len(prev) != hi0 - lo0 + 1:
@@ -434,12 +431,7 @@ def enumerate_paths(U: PotentialField, grid: GridSpec, S0, p: ModelParams):
     xs = grid.nodes()
     n_x = grid.n_x
     times = grid.times()
-    if S0 is None:
-        start = np.zeros(n_x)
-    elif callable(S0):
-        start = np.asarray(S0(xs), dtype=float)
-    else:
-        start = np.asarray(S0, dtype=float)
+    start = np.zeros(n_x) if S0 is None else np.asarray(S0, dtype=float)
     costs = _transition_costs(grid, p.beta)
 
     paths = [[(float(start[i]), (i,)) for i in range(n_x)]]

@@ -3,7 +3,8 @@ import pytest
 
 from hjlab.core import ModelParams
 from hjlab.experiments import (ExperimentConfig, run_glued_demo,
-                               run_periodic_control, run_scaling)
+                               run_lemma_suite, run_periodic_control,
+                               run_scaling)
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,11 @@ def glued_report(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("glued"))
     cfg = ExperimentConfig(kind="glued-demo", out_dir=out)
     return run_glued_demo(cfg)
+
+
+@pytest.fixture(scope="session")
+def lemma_report():
+    return run_lemma_suite(ExperimentConfig(kind="lemma-suite"))
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,12 @@ import pytest
 
 from hjlab import reports
 from hjlab.cli import main as cli_main
-from hjlab.experiments import (ExperimentConfig, HorizonRecord, ScalingReport,
-                               _horizon_record, edge_grid, run_conjecture_probe,
+from hjlab.core import ModelParams
+from hjlab.experiments import (EXPERIMENTS, ExperimentConfig, HorizonRecord,
+                               ScalingReport, _horizon_record, edge_grid,
+                               run_conjecture_probe, run_glued_demo,
                                run_lemma_suite, run_scaling)
+from hjlab.laxoleinik import GridFunction, gridfunction_to_csv
 from hjlab.minimizer import DomainError, GridSpec, velocity_bound_lower
 from hjlab.potentials import (accelerating_potential, glued_potential,
                               glued_schedule)
@@ -64,10 +67,20 @@ def test_path_on_grid_edge_fails_the_run():
         _horizon_record(ExperimentConfig(), T, U, grid, np.array([-0.5, 0.0, 0.5]), 0.5)
 
 
-def test_lemma_suite_passes():
-    rep = run_lemma_suite(ExperimentConfig(kind="lemma-suite"))
-    assert rep.flags["all_passed"]
-    assert rep.flags["checks"] >= 60
+def test_lemma_suite_passes(lemma_report):
+    assert lemma_report.flags["all_passed"]
+    assert lemma_report.flags["checks"] >= 60
+
+
+def test_hard_flags_are_report_flags(scaling_report, periodic_report,
+                                     glued_report, lemma_report):
+    # a misspelt hard flag reads None, prints "skipped" forever and never
+    # fails a run
+    reports = {r.kind: r for r in (scaling_report, periodic_report,
+                                   glued_report, lemma_report)}
+    for kind, experiment in EXPERIMENTS.items():
+        if experiment.hard_flags:
+            assert set(experiment.hard_flags) <= set(reports[kind].flags), kind
 
 
 def test_scaling_report_content(scaling_report):
@@ -363,7 +376,8 @@ def test_cli_kernel_exit_codes(tmp_path, monkeypatch, capsys):
 
     nan_field = PotentialField(lambda ts, deriv: lambda x: (
         0.0 * x if deriv else np.where(ts > 0.5, np.nan, 0.0 * x)), bound=1.0)
-    monkeypatch.setattr(hjlab.cli, "_load_potential", lambda path: nan_field)
+    monkeypatch.setattr(hjlab.cli, "_load_model",
+                        lambda path: (nan_field, ModelParams(beta=2.0, C=1.0)))
     assert cli_main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "NaN source value at slice 5" in err
@@ -381,6 +395,27 @@ def test_cli_kernel_nan_constant_level_exit_2(tmp_path, capsys):
     assert "C must be" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cmd", ["minimize", "kernel", "evolve"])
+def test_cli_empty_interval_exit_2(tmp_path, capsys, cmd):
+    # the default speed caps of kernel and evolve divide by t2 - t1
+    pot = tmp_path / "z.json"
+    cli_main(["potential", "--kind", "zero", "--beta", "2.0", "--out", str(pot)])
+    initial = tmp_path / "s.csv"
+    initial.write_text(gridfunction_to_csv(GridFunction(np.linspace(0.0, 2.0, 9),
+                                                        np.zeros(9))))
+    out = tmp_path / "out.csv"
+    extra = {"minimize": ["--x", "1", "--dx", "0.25", "--dt", "0.125"],
+             "kernel": ["--x-min", "0", "--x-max", "2", "--dx", "0.25",
+                        "--dt", "0.125"],
+             "evolve": ["--initial", str(initial)]}[cmd]
+    capsys.readouterr()
+    assert cli_main([cmd, "--potential", str(pot), "--t1", "1", "--t2", "1",
+                     "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err == "configuration error: need t2 > t1\n"
+    assert not out.exists()
+
+
 def test_cli_failed_runs_exit_1(tmp_path, capsys):
     # WindowTouchError: the glued demo windows with the configured margin as
     # given, and at 0.05 its final slice starts above the lowest target (-0.25)
@@ -391,6 +426,26 @@ def test_cli_failed_runs_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "window edge" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_glued_targets_and_grid_share_the_pace_horizon(tmp_path, monkeypatch):
+    """A top stage shorter than e is paced at one floored T_pace: the
+    targets span +-R_T/2 of the T_pace that edge_grid receives."""
+    import hjlab.experiments
+
+    paces = []
+
+    def spy(cfg, U, t1, t2, T_pace, *rest):
+        paces.append(T_pace)
+        return edge_grid(cfg, U, t1, t2, T_pace, *rest)
+
+    monkeypatch.setattr(hjlab.experiments, "edge_grid", spy)
+    # stencil 5 keeps dt under the stage's 0.2 speed window
+    cfg = ExperimentConfig(kind="glued-demo", glue_Tbar=2.0, glue_n_max=1,
+                           stencil=5, out_dir=str(tmp_path))
+    (rec,) = run_glued_demo(cfg).records
+    assert rec["extra"]["T_stage"] == 2.0 and paces == [3.0]
+    assert max(rec["targets"]) == velocity_bound_lower(3.0, cfg.params).R_T / 2.0
 
 
 def test_scaling_first_margin_holds_lowest_target(tmp_path, monkeypatch):

@@ -1,12 +1,15 @@
+import argparse
 import ast
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
 import hjlab
+from hjlab.cli import build_parser
 
 
 def test_every_export_resolves():
@@ -95,3 +98,17 @@ def test_import_budget_excludes_heavy_scipy():
     assert abs(exact - quad) <= 1e-9 * abs(exact)
     closed, quad = res["energy"]
     assert abs(closed - quad) <= 1e-8 * abs(closed)
+
+
+def test_readme_documents_every_command():
+    """README's "Command line" block shows one `hjlab <cmd>` line per
+    subcommand, in the parser's order, so a new command cannot ship
+    undocumented."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "README.md")
+    with open(path) as f:
+        block = f.read().split("## Command line", 1)[1].split("```")[1]
+    documented = re.findall(r"^hjlab (\S+)", block, re.MULTILINE)
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert documented == list(sub.choices)

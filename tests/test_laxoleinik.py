@@ -68,10 +68,12 @@ def test_kernel_byte_budget(monkeypatch):
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-    # the budget counts both matrices of the rows actually swept
-    g = small_grid(x_max=2.0)                  # 21 nodes; stride 2 sweeps 11 rows
-    monkeypatch.setattr(lo, "_KERNEL_BYTE_BUDGET", 2 * 11 * 21 * 8)
-    assert kernel(zero_potential(), 0.0, 1.0, g, P2, source_stride=2).entries.shape == (11, 21)
+    # the budget counts both n x n matrices: it passes at 2 n^2 8 bytes and
+    # fails one byte under
+    g = small_grid(x_max=2.0)                  # 21 nodes
+    monkeypatch.setattr(lo, "_KERNEL_BYTE_BUDGET", 2 * 21 * 21 * 8)
+    assert kernel(zero_potential(), 0.0, 1.0, g, P2).entries.shape == (21, 21)
+    monkeypatch.setattr(lo, "_KERNEL_BYTE_BUDGET", 2 * 21 * 21 * 8 - 1)
     with pytest.raises(ValueError, match="budget"):
         kernel(zero_potential(), 0.0, 1.0, g, P2)
 

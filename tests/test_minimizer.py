@@ -371,6 +371,48 @@ def test_windowed_equals_full_on_glued_field():
         assert full.value_at(x) == win.value_at(x)
 
 
+@st.composite
+def small_accelerating_grids(draw):
+    """Accelerating field at 0.5-1.5 times its K2 on a coarse grid from the
+    window's bottom at t1 (plus up to 4 below) to x = 2, with a co-moving
+    margin, an optional detachment cap and a terminal target."""
+    beta = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    p = ModelParams(beta=beta, C=1.0)
+    T = draw(st.floats(5.0, 30.0))
+    K = velocity_bound_lower(T, p).K2 * draw(st.floats(0.5, 1.5))
+    U = accelerating_potential(0.0, 0.0, T, K, 1.0, beta)
+    dx = draw(st.sampled_from([0.1, 0.2]))
+    v_max = max(4.0 * K * math.log(T) ** (2.0 / beta), 2.0)
+    margin = draw(st.floats(2.5, 10.0))
+    x_min = U.support_hint(0.0)[1] - margin - 2.0 - draw(st.floats(0.0, 4.0))
+    grid = GridSpec(x_min, 2.0, dx, 0.0, T, draw(st.integers(4, 24)) * dx / v_max,
+                    v_max)
+    detach_cap = draw(st.none() | st.floats(2.0, 20.0))
+    return U, p, grid, margin, detach_cap, draw(st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_accelerating_grids())
+def test_windowed_equals_full_property(instance):
+    """A window only removes paths, so its value is never below the full
+    grid's.  Without a detachment cap, a windowed path that touches no
+    window edge has the full value to rounding.  Bit equality is not a
+    property: on the flat plateau near-tied paths can differ in the last
+    bits.  A detachment cap can also exclude the static minimizer without
+    any touch (ROADMAP item 7), so with a cap only the bound is asserted."""
+    U, p, grid, margin, detach_cap, x = instance
+    full = solve_dp(U, grid, None, p)
+    win = solve_dp(U, comoving_window(U, margin, grid, detach_cap=detach_cap),
+                   None, p)
+    assert win.value_at(x) >= full.value_at(x)
+    try:
+        backtrack(win, x)
+    except WindowTouchError:
+        return
+    if detach_cap is None:
+        assert win.value_at(x) == pytest.approx(full.value_at(x), rel=1e-12, abs=1e-12)
+
+
 def test_comoving_window_needs_support_hint():
     U = periodic_potential(cosine_profile(1.0), 1.0)
     grid = GridSpec(-5.0, 5.0, 0.1, 0.0, 1.0, 0.05, 6.0)
