@@ -237,21 +237,28 @@ class PathAction:
         Quadrature points are laid out quadrature-major, (q, len(I)), so every
         elementwise op runs on long contiguous rows.  Summing the q rows adds
         each node's points in index order, as a row sum of the (len(I), q)
-        layout does for q < 8 (numpy sums longer rows pairwise).
+        layout does for q < 8 (numpy sums longer rows pairwise).  The left
+        segments' points fill the first q rows of one reused (2q, len(I))
+        buffer and the right segments' the last q, so each evaluation makes
+        one potential call over the stacked times.
         """
         ts, q, frac, beta = self.seg_times, self.q, self.frac[:, None], self.p.beta
-        left = self.U.time_slice(np.ascontiguousarray(ts[I - 1].T))
-        right = self.U.time_slice(np.ascontiguousarray(ts[I].T))
+        both = self.U.time_slice(np.concatenate((ts[I - 1].T, ts[I].T)))
+        pts = np.empty((2 * q, len(I)))
+        xl, xr = pts[:q], pts[q:]
         dtl, dtr = self.dt[I - 1], self.dt[I]
         kl, kr = self.kin_den[I - 1], self.kin_den[I]
+        before, after = I - 1, I + 1
 
         def f(x, xi):
-            a, b = x[I - 1], x[I + 1]
-            kin = np.abs(xi - a) ** beta / kl + np.abs(b - xi) ** beta / kr
-            xl = a + (xi - a) * frac
-            xr = xi + (b - xi) * frac
-            pot = (np.sum(left(xl), axis=0) * dtl / q
-                   + np.sum(right(xr), axis=0) * dtr / q)
+            a, b = x[before], x[after]
+            dl, dr = xi - a, b - xi
+            kin = np.abs(dl) ** beta / kl + np.abs(dr) ** beta / kr
+            np.add(a, np.multiply(dl, frac, out=xl), out=xl)   # a + (xi - a) frac
+            np.add(xi, np.multiply(dr, frac, out=xr), out=xr)  # xi + (b - xi) frac
+            u = both(pts)
+            pot = (np.sum(u[:q], axis=0) * dtl / q
+                   + np.sum(u[q:], axis=0) * dtr / q)
             return kin - pot
 
         return f

@@ -460,7 +460,10 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         wgrid = edge_grid(cfg, U, -S_n, 0.0, T_pace, dx,
                           float(max(x_targets.max() + 2 * dx, lbtop.R_T)),
                           cfg.margin)
-        s_window = min(cfg.s_window_max, sched.stages[0][0] / 10.0)
+        # a short first stage (glue_Tbar 2 or 4 at the CI grid) would ask for
+        # a window below one time step: floor it there
+        s_window = max(min(cfg.s_window_max, sched.stages[0][0] / 10.0),
+                       wgrid.dt_eff)
         rec = _horizon_record(
             cfg, float(S_n), U, wgrid, x_targets, s_window,
             extra={"stage": n, "T_stage": float(T_top),

@@ -60,31 +60,69 @@ def bump(x, C: float):
     return val, der
 
 
-def _bump_value(x, C: float):
-    """``bump(x, C)[0]`` bit for bit, sign bits and NaN included.
+def _shifted(op, x, a, g):
+    """``op(x, a) + g`` in one fresh float64 array of the broadcast shape,
+    where a is a scalar or has g's shape.
+
+    The bump kernels then finish in place on it, so a field evaluation makes
+    one full-size array and never writes the caller's x.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    if np.ndim(g) and g.shape != shape:
+        shape = np.broadcast_shapes(shape, g.shape)
+    z = op(x, a, out=np.empty(shape))
+    z += g
+    return z
+
+
+def _ramp_coordinate(z):
+    """u = clip(-z / 2.0, 0, 1), written into z.
+
+    Halving by ``*= 0.5`` rounds the same exact value as ``/ 2.0`` and is
+    faster.  The negation stays a step of its own: ``z * -0.5`` keeps the
+    sign of a NaN, which ``-z / 2.0`` flips.
+    """
+    np.negative(z, out=z)
+    z *= 0.5
+    return z.clip(0.0, 1.0, out=z)
+
+
+def _bump_value(z, C: float):
+    """``bump(z, C)[0]`` bit for bit, sign bits and NaN included, computed in
+    place in z, which must be a float64 array that no caller holds.
 
     On the flats (u = +-0 or 1) the cubic 3u^2 - 2u^3 is exactly u + 0.0, so
     the libm ``u**3`` is needed only on ramp points (0 < u < 1).  Masking
     pays only when those are a minority of the input; otherwise the cubic
-    runs on every point, as in :func:`bump`.
+    runs on every point, as in :func:`bump`.  Each step rounds the same
+    value as the matching step of :func:`bump`.
     """
-    u = np.clip(-np.asarray(x, dtype=float) / 2.0, 0.0, 1.0)
+    u = _ramp_coordinate(z)
     ramp = np.flatnonzero((u > 0.0) & (u < 1.0))
     if 2 * len(ramp) < u.size:
-        val = C * (u + 0.0)
+        ur = u.take(ramp)
+        u += 0.0
+        np.multiply(C, u, out=u)
         if len(ramp):
-            ur = np.take(u, ramp)
-            np.put(val, ramp, C * (3.0 * ur**2 - 2.0 * ur**3))
+            np.put(u, ramp, C * (3.0 * ur**2 - 2.0 * ur**3))
     else:
-        val = C * (3.0 * u**2 - 2.0 * u**3)
-    return float(val) if np.ndim(val) == 0 else val
+        u3 = u**3
+        u3 *= 2.0   # = 2.0 * u3; a scalar for 0-d u, so not out=
+        np.square(u, out=u)
+        np.multiply(3.0, u, out=u)
+        np.subtract(u, u3, out=u)
+        np.multiply(C, u, out=u)
+    return float(u) if u.ndim == 0 else u
 
 
-def _bump_grad(x, C: float):
-    """``bump(x, C)[1]`` bit for bit, without computing the value."""
-    u = np.clip(-np.asarray(x, dtype=float) / 2.0, 0.0, 1.0)
-    der = -3.0 * C * u * (1.0 - u)
-    return float(der) if np.ndim(der) == 0 else der
+def _bump_grad(z, C: float):
+    """``bump(z, C)[1]`` bit for bit, in place in z as :func:`_bump_value`."""
+    u = _ramp_coordinate(z)
+    w = 1.0 - u
+    np.multiply(-3.0 * C, u, out=u)
+    u *= w
+    return float(u) if u.ndim == 0 else u
 
 
 @dataclass(frozen=True)
@@ -240,8 +278,11 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
 
     def _slice(ts, deriv):
         kernel = _bump_grad if deriv else _bump_value
-        g = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
-        return lambda x: kernel(np.asarray(x, dtype=float) - y + g, C)
+        if isinstance(ts, (int, float)):   # one scalar time per DP slice
+            g = curve.value(min(max(t2 - ts, 0.0), curve.T))
+        else:
+            g = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
+        return lambda x: kernel(_shifted(np.subtract, x, y, g), C)
 
     def support_hint(t):
         g = curve.value(np.clip(t2 - t, 0.0, curve.T))
@@ -364,7 +405,7 @@ def glued_potential(schedule: GluedSchedule) -> PotentialField:
         # x + X_{n-1} + g, in that order, as the field is defined
         kernel = _bump_grad if deriv else _bump_value
         offset, g = _stage(ts)
-        return lambda x: kernel(np.asarray(x, dtype=float) + offset + g, C)
+        return lambda x: kernel(_shifted(np.add, x, offset, g), C)
 
     def support_hint(t):
         offset, g = _stage(t)

@@ -7,7 +7,8 @@ from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory,
                         jensen_lower_bound, lagrangian, legendre, legendre_inv,
                         zero_potential)
 from hjlab.potentials import (accelerating_potential, cosine_profile,
-                              periodic_potential)
+                              glued_potential, glued_schedule,
+                              periodic_potential, random_potential)
 
 
 def test_model_params_alpha_duality():
@@ -224,18 +225,28 @@ def test_path_action_grad_matches_central_differences(kind, beta):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
-@pytest.mark.parametrize("kind", ["accelerating", "periodic"])
+@pytest.mark.parametrize("kind", ["accelerating", "glued", "periodic", "random"])
 def test_path_action_local_equals_node_major_sum(kind, q):
-    """local(I) lays the quadrature points out as (q, len(I)); its values
-    equal the node-major (len(I), q) evaluation with a per-node row sum bit
-    for bit (numpy adds rows of fewer than 8 terms in index order)."""
+    """local(I) lays the quadrature points out as (q, len(I)), left and right
+    segments stacked into one (2q, len(I)) evaluation; its values equal the
+    node-major (len(I), q) evaluation with a per-node row sum bit for bit
+    (numpy adds rows of fewer than 8 terms in index order), and x is left
+    as it was."""
     p = ModelParams(2.0)
     t = np.linspace(0.0, 4.0, 41)
-    if kind == "accelerating":
-        U = accelerating_potential(0.0, 0.0, 4.0, 0.8, 1.0, 2.0)
-        x = np.array([U.support_hint(tk)[1] for tk in t]) - 1.0 + 0.5 * t
+    if kind in ("accelerating", "glued"):
+        if kind == "accelerating":
+            U = accelerating_potential(0.0, 0.0, 4.0, 0.8, 1.0, 2.0)
+        else:   # stages of 2 and 30 time units: the path crosses a stage boundary
+            t = t - 4.0
+            U = glued_potential(glued_schedule(0.25, 2.0, 0.8, 1.0, 2.0, 2, cap=30.0))
+        x = np.array([U.support_hint(tk)[1] for tk in t]) - 1.0 + 0.5 * (t - t[0])
     else:
-        U = periodic_potential(cosine_profile(1.0, 1.3), 1.0)
+        if kind == "periodic":
+            U = periodic_potential(cosine_profile(1.0, 1.3), 1.0)
+        else:
+            U = random_potential(3, [cosine_profile(1.0, 0.7), cosine_profile(0.5, 1.9)],
+                                 2.0, 0.0, 4.0)
         x = 1.5 * t + 0.2 * np.sin(5.0 * t)
     pa = PathAction(t, U, p, quad_points=q)
     rng = np.random.default_rng(q)
@@ -249,4 +260,6 @@ def test_path_action_local_equals_node_major_sum(kind, q):
                + np.sum(U.time_slice(pa.seg_times[I])(xr), axis=1) * pa.dt[I] / q)
         kin = (np.abs(xi - a) ** 2.0 / pa.kin_den[I - 1]
                + np.abs(b - xi) ** 2.0 / pa.kin_den[I])
+        before = x.tobytes()
         assert pa.local(I)(x, xi).tobytes() == (kin - pot).tobytes()
+        assert x.tobytes() == before

@@ -241,6 +241,16 @@ def test_scaling_golden_digest(tmp_path):
         "csv": "39c3c5b8250c2dd44291eba44afd967f69e5102008d5636633868d514d735be8"}
 
 
+def test_scaling_ci_golden_digest(scaling_report):
+    """Pinned bytes of the full CI-profile scaling run (T = 50, 200, 1000).
+    Only the longer horizons reach slices wider than the DP's scan width
+    (windows up to 6 657 nodes at T = 1000) and refine's largest arrays;
+    same platform caveat as test_scaling_golden_digest."""
+    assert _report_digest(scaling_report) == {
+        "json": "85ada9970d90dd273ff68f042c76c7df2637349c0ebece16fb3071e9d5400bf1",
+        "csv": "f363bf4e4fbfb17148dbb0df6d43ba1fadb6a66a99da78620d37ee8c7480ded6"}
+
+
 def test_periodic_golden_digest(periodic_report):
     """Pinned CI-profile periodic-control bytes (horizon records and the
     operator suite); same platform caveat as test_scaling_golden_digest."""
@@ -446,6 +456,20 @@ def test_glued_targets_and_grid_share_the_pace_horizon(tmp_path, monkeypatch):
     (rec,) = run_glued_demo(cfg).records
     assert rec["extra"]["T_stage"] == 2.0 and paces == [3.0]
     assert max(rec["targets"]) == velocity_bound_lower(3.0, cfg.params).R_T / 2.0
+
+
+@pytest.mark.parametrize("Tbar", [2, 4])
+def test_cli_glued_demo_short_first_stage(tmp_path, capsys, Tbar):
+    """At the default stencil a first stage of 2 or 4 time units has a grid
+    step (0.5, 0.444) above T_1 / 10; the speed window is floored at that
+    step instead of failing the run with exit 2."""
+    cfg_path = tmp_path / "glued.json"
+    cfg_path.write_text(json.dumps({"glue_Tbar": Tbar, "glue_n_max": 1}))
+    rc = cli_main(["glued-demo", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    (rec,) = json.loads((tmp_path / "glued-demo.json").read_text())["records"]
+    assert rec["s_window"] == rec["dt"] > Tbar / 10.0
 
 
 def test_scaling_first_margin_holds_lowest_target(tmp_path, monkeypatch):

@@ -342,10 +342,13 @@ def _same_bits(got, want):
 
 
 def _check_bump_kernels(x, C):
-    want_v, want_d = bump(x, C)
-    got_v, got_d = _bump_value(x, C), _bump_grad(x, C)
-    assert type(got_v) is type(want_v) and type(got_d) is type(want_d)
-    assert _same_bits(got_v, want_v) and _same_bits(got_d, want_d)
+    """Each kernel, run in place on a fresh float64 copy of x (as the fields
+    run it), returns bump's value or derivative bit for bit, in that copy."""
+    for kernel, want in zip((_bump_value, _bump_grad), bump(x, C)):
+        z = np.array(x, dtype=float)
+        got = kernel(z, C)
+        assert type(got) is type(want) and _same_bits(got, want)
+        assert z.ndim == 0 or got is z
 
 
 @pytest.mark.parametrize("C", [0.0, 1.0, 2.5])
@@ -354,7 +357,8 @@ def _check_bump_kernels(x, C):
 def test_bump_kernels_equal_bump_bitwise(case, C):
     """The value-only and gradient-only kernels reproduce bump's value and
     derivative bit for bit, sign bits included, on both sides of the
-    masking rule (ramp points a minority or not)."""
+    masking rule (ramp points a minority or not), in place on C, Fortran and
+    transposed layouts."""
     rng = np.random.default_rng(7)
     flat = np.concatenate([rng.uniform(0.0, 9.0, 60), rng.uniform(-9.0, -2.0, 60)])
     ramp = rng.uniform(-2.0, 0.0, 120)
@@ -414,18 +418,64 @@ BUMP_FIELDS = {   # (field, t_lo, t_hi)
 def test_fields_equal_bump_of_their_argument(kind, t_frac, ramp):
     """The accelerating and glued fields, their time slices included, give
     bump(argument, C) bit for bit, with the argument built as each field
-    defines it."""
+    defines it; a scalar time (one per DP slice) gives the same bits as that
+    time in an array."""
     U, t_lo, t_hi = BUMP_FIELDS[kind]
     ts = t_lo + (t_hi - t_lo) * t_frac
     edge = np.array([U.support_hint(t)[1] for t in ts.ravel()]).reshape(ts.shape)
     xs = edge + ramp
-    if kind == "accelerating":
+
+    def argument(x, t):
+        if kind == "glued":
+            return _glued_argument(GLUED_SCHEDULE, x, t)
         spec = U.spec
         curve = PaceCurve(K=spec["K"], T=spec["t2"] - spec["t1"], beta=spec["beta"])
-        arg = xs - spec["y"] + curve.value(np.clip(spec["t2"] - ts, 0.0, curve.T))
-    else:
-        arg = _glued_argument(GLUED_SCHEDULE, xs, ts)
-    want_v, want_d = bump(arg, U.bound)
+        return x - spec["y"] + curve.value(np.clip(spec["t2"] - t, 0.0, curve.T))
+
+    want_v, want_d = bump(argument(xs, ts), U.bound)
     for got, want in ((U.value(xs, ts), want_v), (U.time_slice(ts)(xs), want_v),
                       (U.grad(xs, ts), want_d), (U.grad_slice(ts)(xs), want_d)):
         assert _same_bits(got, want)
+    t0 = ts[0, 0]
+    want_v, want_d = bump(argument(xs[0], np.full(xs.shape[1], t0)), U.bound)
+    for t in (t0, float(t0)):
+        assert _same_bits(U.value(xs[0], t), want_v)
+        assert _same_bits(U.grad(xs[0], t), want_d)
+
+
+FIELD_KINDS = ("zero", "constant", "accelerating", "glued", "periodic", "random")
+
+
+def _field(kind):
+    """(field, t_lo, t_hi) of each potential kind."""
+    if kind in BUMP_FIELDS:
+        return BUMP_FIELDS[kind]
+    return {"zero": (potential_from_spec({"kind": "zero"}), 0.0, 30.0),
+            "constant": (potential_from_spec({"kind": "constant", "level": 0.3}),
+                         0.0, 30.0),
+            "periodic": (periodic_potential(cosine_profile(1.0, 1.3), 1.0), 0.0, 30.0),
+            "random": (random_potential(5, [cosine_profile(1.0, 0.7),
+                                            cosine_profile(0.5, 1.9)],
+                                        2.0, 0.0, 30.0), 0.0, 30.0)}[kind]
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_fields_never_write_their_argument(kind):
+    """Evaluating a field, its gradient or a time slice leaves x bit for bit
+    as it was, for array and scalar times, on ramp-heavy and flat-heavy
+    inputs (both sides of the bump kernels' masking rule).  x is read-only
+    as well, so any write raises."""
+    U, t_lo, t_hi = _field(kind)
+    rng = np.random.default_rng(11)
+    ts = rng.uniform(t_lo, t_hi, (3, 40))
+    edge = (np.array([U.support_hint(t)[1] for t in ts.ravel()]).reshape(ts.shape)
+            if U.support_hint is not None else np.zeros(ts.shape))
+    for offsets in (rng.uniform(-3.0, 1.0, ts.shape), rng.uniform(-9.0, 9.0, ts.shape)):
+        x = edge + offsets
+        x.flags.writeable = False
+        before = x.tobytes()
+        for t in (ts, ts[0, 0], float(ts[0, 0])):
+            for got in (U.value(x, t), U.grad(x, t),
+                        U.time_slice(t)(x), U.grad_slice(t)(x)):
+                assert np.shape(got) == x.shape
+        assert x.tobytes() == before
