@@ -13,15 +13,8 @@ from .core import (
     ModelParams,
     PotentialField,
     Trajectory,
-    action,
     average_speed,
-    discrete_action,
-    el_residual,
-    hamiltonian,
-    jensen_lower_bound,
-    lagrangian,
     legendre,
-    legendre_inv,
 )
 from .potentials import (
     GluedSchedule,
@@ -57,5 +50,4 @@ from .laxoleinik import (
     lipschitz_in_large_constant,
     minplus_apply,
     minplus_compose,
-    truncated_kernel,
 )

@@ -1,8 +1,9 @@
-"""Model definition and trajectory functionals.
+"""Model definition and the path action.
 
 Lagrangian L(v,x,t) = |v|^beta/beta - U(x,t), Hamiltonian |p|^alpha/alpha + U
-with 1/alpha + 1/beta = 1, and the action / energy / velocity diagnostics
-evaluated on piecewise-linear trajectories.  Everything here is scalar in
+with 1/alpha + 1/beta = 1; :class:`PathAction` is the one evaluator of the
+action and its gradient on piecewise-linear trajectories, and
+:func:`average_speed` reads speeds off them.  Everything here is scalar in
 space (d = 1); the moving-potential construction only needs one coordinate.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,17 +20,8 @@ __all__ = [
     "Trajectory",
     "PotentialField",
     "PathAction",
-    "CertificationResult",
-    "lagrangian",
-    "hamiltonian",
     "legendre",
-    "legendre_inv",
-    "action",
-    "discrete_action",
     "average_speed",
-    "el_residual",
-    "jensen_lower_bound",
-    "certify_potential",
     "constant_potential",
     "zero_potential",
 ]
@@ -151,27 +143,10 @@ def constant_potential(level: float, beta: float = 2.0) -> PotentialField:
     )
 
 
-def lagrangian(v: float, x: float, t: float, U: PotentialField, p: ModelParams) -> float:
-    """L(v,x,t) = |v|^beta / beta - U(x,t)."""
-    return float(np.abs(v) ** p.beta / p.beta - U.value(x, t))
-
-
-def hamiltonian(momentum: float, x: float, t: float, U: PotentialField, p: ModelParams) -> float:
-    """H(p,x,t) = |p|^alpha / alpha + U(x,t)."""
-    return float(np.abs(momentum) ** p.alpha / p.alpha + U.value(x, t))
-
-
 def legendre(v, p: ModelParams):
     """Momentum conjugate to velocity: v |v|^(beta-2), continuous at 0."""
     v = np.asarray(v, dtype=float)
     out = np.sign(v) * np.abs(v) ** (p.beta - 1.0)
-    return out if out.ndim else float(out)
-
-
-def legendre_inv(momentum, p: ModelParams):
-    """Inverse map: sign(p) |p|^(1/(beta-1))."""
-    m = np.asarray(momentum, dtype=float)
-    out = np.sign(m) * np.abs(m) ** (1.0 / (p.beta - 1.0))
     return out if out.ndim else float(out)
 
 
@@ -263,25 +238,19 @@ class PathAction:
 
         return f
 
+    def head(self) -> Callable:
+        """Evaluator f(x, xi) like :meth:`local` for the first node alone:
+        action of the first segment with node 0 moved to xi (one entry)."""
+        q, frac, beta = self.q, self.frac[:, None], self.p.beta
+        first = self.U.time_slice(self.seg_times[:1].T)
+        dt0, k0 = self.dt[:1], self.kin_den[:1]
 
-def action(traj: Trajectory, U: PotentialField, p: ModelParams,
-           quad_points_per_segment: int = 4) -> float:
-    """Action of a piecewise-linear path (see :class:`PathAction`)."""
-    return PathAction(traj.times, U, p, quad_points_per_segment).action(traj.positions)
+        def f(x, xi):
+            dr = x[1] - xi
+            u = first(xi + dr * frac)
+            return np.abs(dr) ** beta / k0 - np.sum(u, axis=0) * dt0 / q
 
-
-def discrete_action(points: Sequence[float], kicks: Sequence[Callable], p: ModelParams) -> float:
-    """Frenkel-Kontorova sum: sum_i |x_{i+1}-x_i|^beta/beta - U_i(x_i).
-
-    ``kicks`` holds one spatial snapshot per transition; its length must be
-    len(points) - 1.
-    """
-    x = np.asarray(points, dtype=float)
-    if len(kicks) != len(x) - 1:
-        raise ValueError(f"need len(points)-1 kicks, got {len(kicks)} for {len(x)} points")
-    kinetic = np.sum(np.abs(np.diff(x)) ** p.beta) / p.beta
-    pot = sum(float(kicks[i](x[i])) for i in range(len(kicks)))
-    return float(kinetic - pot)
+        return f
 
 
 def average_speed(traj: Trajectory, s: float) -> float:
@@ -292,78 +261,3 @@ def average_speed(traj: Trajectory, s: float) -> float:
     x_end = traj.positions[-1]
     x_back = traj.position(t_end - s)
     return float(abs(x_end - x_back) / s)
-
-
-def el_residual(traj: Trajectory, U: PotentialField, p: ModelParams) -> np.ndarray:
-    """Euler-Lagrange residual at interior nodes.
-
-    Uses the conserved-momentum difference form, well defined at v = 0 for
-    beta < 2: [legendre(v_right) - legendre(v_left)] / dt_avg + grad U(x_i, t_i),
-    with dt_avg = (t_{i+1} - t_{i-1})/2.  Zero for exact solutions of
-    d/dt (v |v|^(beta-2)) = -grad U.
-    """
-    if len(traj.times) < 3:
-        raise ValueError("need at least 3 nodes for interior residuals")
-    t, x = traj.times, traj.positions
-    v = traj.velocities
-    mom = legendre(v, p)
-    dt_avg = (t[2:] - t[:-2]) / 2.0
-    dmom = (mom[1:] - mom[:-1]) / dt_avg
-    g = U.grad(x[1:-1], t[1:-1])
-    return np.asarray(dmom + g, dtype=float)
-
-
-def jensen_lower_bound(displacement: float, duration: float, p: ModelParams) -> float:
-    """Kinetic-action floor: duration^(1-beta) |displacement|^beta / beta."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return float(duration ** (1.0 - p.beta) * abs(displacement) ** p.beta / p.beta)
-
-
-@dataclass(frozen=True)
-class CertificationResult:
-    ok: bool
-    max_value: float
-    min_value: float
-    max_grad: float
-    max_fd_mismatch: float
-    samples: int
-
-    def __bool__(self):
-        return self.ok
-
-
-def certify_potential(U: PotentialField, x_range, t_range, n: int = 10_000,
-                      seed: int = 0, fd_step: float = 1e-5,
-                      fd_tol_scale: float = 50.0) -> CertificationResult:
-    """Random-sample check of 0 <= U <= bound, |grad U| <= bound, and
-    agreement of grad with a central finite difference of eval.
-
-    The finite-difference tolerance scales with fd_step**2 times the supplied
-    scale factor (third-derivative headroom) plus float rounding noise.
-    """
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(x_range[0], x_range[1], size=n)
-    ts = rng.uniform(t_range[0], t_range[1], size=n)
-    vals = np.asarray(U.value(xs, ts), dtype=float)
-    grads = np.asarray(U.grad(xs, ts), dtype=float)
-
-    fd = (np.asarray(U.value(xs + fd_step, ts)) - np.asarray(U.value(xs - fd_step, ts))) / (2 * fd_step)
-    mismatch = float(np.max(np.abs(fd - grads))) if n else 0.0
-    tol = fd_tol_scale * max(U.bound, 1.0) * fd_step ** 2 + 1e-9
-
-    eps = 1e-12 * max(U.bound, 1.0) + 1e-12
-    ok = (
-        float(vals.min(initial=0.0)) >= -eps
-        and float(vals.max(initial=0.0)) <= U.bound + eps
-        and float(np.max(np.abs(grads), initial=0.0)) <= U.bound + eps
-        and mismatch <= tol
-    )
-    return CertificationResult(
-        ok=bool(ok),
-        max_value=float(vals.max(initial=0.0)),
-        min_value=float(vals.min(initial=0.0)),
-        max_grad=float(np.max(np.abs(grads), initial=0.0)),
-        max_fd_mismatch=mismatch,
-        samples=n,
-    )

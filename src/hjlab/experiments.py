@@ -17,13 +17,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .core import ModelParams
+from .core import ModelParams, PotentialField, constant_potential, zero_potential
 from .laxoleinik import (GridFunction, domination_defect, kernel,
                          kernel_bounds_defect, lipschitz_in_large_constant,
-                         minplus_apply)
+                         minplus_apply, minplus_compose)
 from .minimizer import (DomainError, GridSpec, WindowTouchError, backtrack,
-                        comoving_window, lemma_wT_margin, progression_margins,
-                        refine, solve_dp, terminal_velocity,
+                        comoving_window, enumerate_paths, lemma_wT_margin,
+                        progression_margins, refine, solve_dp, terminal_velocity,
                         velocity_bound_lower, velocity_bound_upper)
 from .potentials import (PaceCurve, accelerating_potential, cosine_profile,
                          glued_potential, glued_schedule, pace_main_gap,
@@ -590,8 +590,6 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
             prog_worst >= 0.0)
 
     # DP optimality oracle on toy instances
-    from .minimizer import enumerate_paths
-    from .core import PotentialField as _PF
     oracle_ok = True
     for _ in range(5):
         n_x = int(rng.integers(3, 6))
@@ -605,7 +603,7 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
             ti = np.clip(np.asarray(t) / g.dt_eff, 0, n_steps + 1).astype(int)
             return vals[ti, xi]
 
-        U = _PF(lambda ts, deriv: lambda x: (
+        U = PotentialField(lambda ts, deriv: lambda x: (
             0.0 * np.asarray(x) if deriv else ev(x, ts)), bound=1.0)
         tab = solve_dp(U, g, None, p)
         ev_vals, _ = enumerate_paths(U, g, None, p)
@@ -613,8 +611,6 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
     add("dp-enumeration-oracle", {"count": 5}, 0.0, oracle_ok)
 
     # kernel sandwich equality branches and tropical associativity
-    from .core import constant_potential, zero_potential
-    from .laxoleinik import minplus_compose
     gk = GridSpec(x_min=0.0, x_max=3.0, dx=0.15, t1=0.0, t2=0.75, dt=0.25,
                   v_max=5.0)
     grid_tol = 2.0 * gk.dx * (3.0 / 0.75)   # 2 dx * max slope

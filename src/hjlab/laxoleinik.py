@@ -20,14 +20,12 @@ __all__ = [
     "Kernel",
     "GridFunction",
     "kernel",
-    "identity_kernel",
     "minplus_apply",
     "minplus_compose",
     "flow_defect",
     "kernel_bounds_defect",
     "domination_defect",
     "lipschitz_in_large_constant",
-    "truncated_kernel",
     "kernel_to_csv",
     "gridfunction_to_csv",
     "gridfunction_from_csv",
@@ -118,15 +116,6 @@ def kernel(U: PotentialField, t1: float, t2: float, grid: GridSpec,
                         "potential": dict(U.spec), "beta": p.beta, "C": p.C})
 
 
-def identity_kernel(nodes: np.ndarray, t: float) -> Kernel:
-    """Zero-duration identity element: 0 on the diagonal, +inf off it."""
-    nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes)
-    ent = np.full((n, n), np.inf)
-    np.fill_diagonal(ent, 0.0)
-    return Kernel(source_nodes=nodes, target_nodes=nodes, t1=t, t2=t, entries=ent)
-
-
 def minplus_apply(kern: Kernel, S: GridFunction):
     """(T S)(x_j) = min_i (A(y_i, x_j) + S(y_i)).
 
@@ -206,17 +195,6 @@ def lipschitz_in_large_constant(S: GridFunction) -> float:
     dx = np.abs(S.nodes[:, None] - S.nodes[None, :])
     np.fill_diagonal(dv, 0.0)
     return float(np.max(dv / (dx + 1.0)))
-
-
-def truncated_kernel(kern: Kernel, K: float) -> Kernel:
-    """Entrywise min with K (|x-y| + 1); bounds +inf entries as well."""
-    if K <= 0:
-        raise ValueError("K must be > 0")
-    cap = K * (np.abs(kern.displacement()) + 1.0)
-    return Kernel(source_nodes=kern.source_nodes, target_nodes=kern.target_nodes,
-                  t1=kern.t1, t2=kern.t2,
-                  entries=np.minimum(kern.entries, cap),
-                  meta=dict(kern.meta, truncated_at=K))
 
 
 def kernel_to_csv(kern: Kernel) -> str:

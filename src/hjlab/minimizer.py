@@ -411,15 +411,6 @@ def backtrack(table: ValueTable, x: float) -> Trajectory:
     return Trajectory(grid.times(), positions)
 
 
-def path_cost(traj: Trajectory, U: PotentialField, grid: GridSpec, p: ModelParams) -> float:
-    """Kick-form discrete action of a slice-aligned trajectory (DP convention)."""
-    dt = grid.dt_eff
-    x, t = traj.positions, traj.times
-    kin = np.sum(np.abs(np.diff(x)) ** p.beta) / (p.beta * dt ** (p.beta - 1.0))
-    pot = dt * np.sum(np.asarray(U.value(x[:-1], t[:-1]), dtype=float))
-    return float(kin - pot)
-
-
 def enumerate_paths(U: PotentialField, grid: GridSpec, S0, p: ModelParams):
     """Brute-force oracle: exhaustive minimization over all node paths.
 
@@ -472,10 +463,10 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
     Stops after ``passes`` sweeps or when a sweep improves the action by less
     than ``rel_tol`` relatively.
 
-    With ``free_left`` the first node is also optimized over its single
-    segment (appropriate for free-left-endpoint minimizers with zero initial
-    value function, where grid snapping would otherwise pin gamma(t1) a
-    half-step off the transversal optimum).
+    With ``free_left`` the first node is a third color, moved by the same
+    line search over its single segment (appropriate for free-left-endpoint
+    minimizers with zero initial value function, where grid snapping would
+    otherwise pin gamma(t1) a half-step off the transversal optimum).
     """
     x = traj.positions.copy()
     n = len(x)
@@ -486,7 +477,9 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     colors = [I for I in (np.arange(1, n - 1, 2), np.arange(2, n - 1, 2)) if len(I)]
     local = [pa.local(I) for I in colors]
-    left_slice = U.time_slice(pa.seg_times[0]) if free_left else None
+    if free_left:
+        colors.append(np.array([0]))
+        local.append(pa.head())
 
     total = pa.action(x)
     for _ in range(passes):
@@ -517,42 +510,10 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
             if np.any(accept):
                 x[I[accept]] = x_new[accept]
                 improved += float(np.sum((f0 - f_new)[accept]))
-        if free_left:
-            improved += _free_left_step(x, pa, left_slice, bracket, gr)
         if improved <= rel_tol * (abs(total) + 1.0):
             break
         total -= improved
     return traj.with_positions(x)
-
-
-def _free_left_step(x, pa, left_slice, bracket, gr):
-    """Golden-section move of the free first node over its single segment."""
-    beta, dt0, q = pa.p.beta, pa.dt[0], pa.q
-
-    def f(xi):
-        kin = abs(x[1] - xi) ** beta / (beta * dt0 ** (beta - 1.0))
-        xs = xi + (x[1] - xi) * pa.frac
-        return kin - float(np.sum(left_slice(xs))) * dt0 / q
-
-    f0 = f(x[0])
-    a_, b_ = x[0] - bracket, x[0] + bracket
-    c_ = b_ - gr * (b_ - a_)
-    d_ = a_ + gr * (b_ - a_)
-    fc, fd = f(c_), f(d_)
-    for _ in range(_GOLDEN_ITERS):
-        if fc < fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - gr * (b_ - a_)
-            fc = f(c_)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + gr * (b_ - a_)
-            fd = f(d_)
-    x_new, f_new = (c_, fc) if fc < fd else (d_, fd)
-    if f_new < f0:
-        x[0] = x_new
-        return f0 - f_new
-    return 0.0
 
 
 def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams) -> Trajectory:

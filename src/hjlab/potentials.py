@@ -272,6 +272,8 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
     """
     if not t2 > t1:
         raise ValueError("need t2 > t1")
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y}")
     if not (K > 0 and C > 0):
         raise ValueError("need K > 0 and C > 0")
     curve = PaceCurve(K=K, T=t2 - t1, beta=beta)
@@ -346,6 +348,8 @@ def glued_schedule(epsilon: float, Tbar: float, K: float, C: float, beta: float,
         raise ValueError(f"epsilon must lie in (0, {eps_max}) for beta={beta}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not Tbar > 0:   # max(1.0, nan) would quietly give 1.0
+        raise ValueError(f"Tbar must be > 0, got {Tbar}")
 
     kbar = K * gamma_fn(1.0 + 2.0 / beta)
     T1 = max(1.0, float(Tbar))
@@ -379,8 +383,8 @@ def glued_potential(schedule: GluedSchedule) -> PotentialField:
     stage 1 finishes with bump(x) at t = 0.
     """
     C = schedule.C
-    if C < 0:
-        raise ValueError("C must be >= 0")
+    if not C >= 0:
+        raise ValueError(f"C must be >= 0, got {C}")
     curves = [PaceCurve(K=schedule.K, T=T_n, beta=schedule.beta)
               for (T_n, _, _) in schedule.stages]
     S = np.array([st[1] for st in schedule.stages])       # S_1..S_n
@@ -437,6 +441,11 @@ def cosine_profile(amplitude: float, wavenumber: float = 1.0,
                    phase: float = 0.0) -> SpatialProfile:
     """amplitude * (1 + cos(k x + phase)) / 2; derivative bounded by a*k/2."""
     a, k, ph = float(amplitude), float(wavenumber), float(phase)
+    if not a >= 0:
+        raise ValueError(f"amplitude must be >= 0, got {a}")
+    for name, v in (("wavenumber", k), ("phase", ph)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     return SpatialProfile(
         value_fn=lambda x: a * (1.0 + np.cos(k * x + ph)) / 2.0,
         deriv_fn=lambda x: -a * k * np.sin(k * x + ph) / 2.0,
@@ -459,8 +468,8 @@ def periodic_potential(profile: SpatialProfile, period: float,
     ``modulation`` is either the raised cosine (1 - cos(2 pi t/period))/2 or
     "constant" (m = 1), the autonomous control for energy conservation.
     """
-    if period <= 0:
-        raise ValueError("period must be > 0")
+    if not period > 0:
+        raise ValueError(f"period must be > 0, got {period}")
     if profile.sup_deriv > profile.sup_value + 1e-12:
         raise ValueError("profile derivative bound exceeds value bound")
     if modulation not in ("cosine", "constant"):
@@ -499,8 +508,10 @@ def random_potential(seed: int, spatial_profiles: Sequence[SpatialProfile],
     profiles = list(spatial_profiles)
     if not profiles:
         raise ValueError("need at least one spatial profile")
-    if correlation_time <= 0:
-        raise ValueError("correlation_time must be > 0")
+    if not correlation_time > 0:
+        raise ValueError(f"correlation_time must be > 0, got {correlation_time}")
+    if not C >= 0:
+        raise ValueError(f"C must be >= 0, got {C}")
     if not t_max > t_min:
         raise ValueError("need t_max > t_min")
 

@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hjlab.core import (ModelParams, PathAction, Trajectory, el_residual, legendre,
-                        zero_potential)
+from hjlab.core import ModelParams, PathAction, Trajectory, legendre, zero_potential
 from hjlab.experiments import ExperimentConfig, run_conjecture_probe, run_scaling
 from hjlab.laxoleinik import flow_defect, kernel
 from hjlab.minimizer import (GridSpec, backtrack, enumerate_paths,
@@ -21,6 +20,7 @@ from hjlab.potentials import (PaceCurve, accelerating_potential, cosine_profile,
                               pace_main_gap, pace_residue, pace_s2_gap,
                               periodic_potential)
 from hjlab.reports import emit
+from oracles import el_residual, path_cost
 
 P2 = ModelParams(beta=2.0, C=1.0)
 K2 = math.sqrt(2.0 / 5.0)
@@ -184,7 +184,6 @@ def test_criterion_06_dp_optimality_oracle():
         ok &= bool(np.array_equal(tab.final_values, ev_vals))
         xt = float(g.nodes()[int(rng.integers(0, g.n_x))])
         tr = backtrack(tab, xt)
-        from hjlab.minimizer import path_cost
         c = path_cost(tr, U, g, P2) + S0[g.nearest_index(tr.positions[0])]
         ok &= abs(c - tab.value_at(xt)) <= 1e-9
     elapsed = time.monotonic() - t0

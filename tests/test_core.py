@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory,
-                        action, average_speed, certify_potential, constant_potential,
-                        discrete_action, el_residual, hamiltonian,
-                        jensen_lower_bound, lagrangian, legendre, legendre_inv,
-                        zero_potential)
+                        average_speed, constant_potential, legendre, zero_potential)
 from hjlab.potentials import (accelerating_potential, cosine_profile,
                               glued_potential, glued_schedule,
                               periodic_potential, random_potential)
+from oracles import certify_potential, el_residual, jensen_lower_bound
 
 
 def test_model_params_alpha_duality():
@@ -33,80 +31,51 @@ def test_trajectory_validation():
     assert np.allclose(tr.velocities, [2.0, 0.0])
 
 
-def test_lagrangian_examples():
-    U0 = zero_potential()
-    assert lagrangian(1.0, 0.0, 0.0, U0, ModelParams(2.0)) == pytest.approx(0.5)
-    U3 = constant_potential(0.3)
-    assert lagrangian(0.0, 1.0, 1.0, U3, ModelParams(2.0)) == pytest.approx(-0.3)
-    assert lagrangian(2.0, 0.0, 0.0, U0, ModelParams(3.0)) == pytest.approx(8.0 / 3.0)
-
-
-def test_hamiltonian_examples():
-    U0 = zero_potential()
-    p2 = ModelParams(2.0)
-    assert hamiltonian(1.0, 0.0, 0.0, U0, p2) == pytest.approx(0.5)
-    U7 = constant_potential(0.7)
-    assert hamiltonian(0.0, 0.0, 0.0, U7, p2) == pytest.approx(0.7)
-
-
 def test_legendre_examples_and_inverse():
     assert legendre(-3.0, ModelParams(2.0)) == pytest.approx(-3.0)
     assert legendre(2.0, ModelParams(3.0)) == pytest.approx(4.0)
-    assert legendre_inv(0.5, ModelParams(1.5)) == pytest.approx(0.25)
+    assert legendre(0.25, ModelParams(1.5)) == pytest.approx(0.5)
     assert legendre(0.0, ModelParams(1.5)) == 0.0
     rng = np.random.default_rng(0)
     for beta in (1.3, 1.5, 2.0, 2.7, 4.0):
         p = ModelParams(beta)
         v = rng.uniform(-5, 5, 100)
-        assert np.allclose(legendre_inv(legendre(v, p), p), v, rtol=1e-12, atol=1e-12)
+        m = legendre(v, p)
+        # inverse map: sign(m) |m|^(1/(beta-1))
+        back = np.sign(m) * np.abs(m) ** (1.0 / (beta - 1.0))
+        assert np.allclose(back, v, rtol=1e-12, atol=1e-12)
 
 
 def test_legendre_duality_identity():
-    # H(legendre(v)) + L(v) = legendre(v) * v on the zero-potential slice
-    U0 = zero_potential()
+    # H(legendre(v)) + L(v) = legendre(v) * v, with H(m) = |m|^alpha / alpha
+    # and L(v) = |v|^beta / beta on the zero-potential slice
     rng = np.random.default_rng(1)
     for beta in (1.5, 2.0, 3.0):
         p = ModelParams(beta)
         for v in rng.uniform(-4, 4, 50):
             mom = legendre(float(v), p)
-            lhs = hamiltonian(mom, 0.0, 0.0, U0, p) + lagrangian(float(v), 0.0, 0.0, U0, p)
+            lhs = abs(mom) ** p.alpha / p.alpha + abs(v) ** beta / beta
             assert lhs == pytest.approx(mom * v, rel=1e-12, abs=1e-12)
 
 
 def test_action_examples():
     p2 = ModelParams(2.0)
     U0 = zero_potential()
-    straight = Trajectory(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    assert action(straight, U0, p2) == pytest.approx(0.5)
+    unit = np.array([0.0, 1.0])
+    assert PathAction(unit, U0, p2).action(unit) == pytest.approx(0.5)
 
     Uc = constant_potential(0.8)
-    const = Trajectory(np.linspace(0, 5, 11), np.full(11, 2.0))
-    assert action(const, Uc, p2) == pytest.approx(-0.8 * 5.0)
+    t = np.linspace(0, 5, 11)
+    assert PathAction(t, Uc, p2).action(np.full(11, 2.0)) == pytest.approx(-0.8 * 5.0)
 
     p3 = ModelParams(3.0)
-    fast = Trajectory(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-    assert action(fast, U0, p3) == pytest.approx(8.0 / 3.0)
+    assert PathAction(unit, U0, p3).action(2.0 * unit) == pytest.approx(8.0 / 3.0)
 
 
 def test_action_rejects_bad_quadrature():
     with pytest.raises(ValueError):
-        action(Trajectory(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-               zero_potential(), ModelParams(2.0), quad_points_per_segment=0)
-
-
-def test_discrete_action_examples():
-    p2 = ModelParams(2.0)
-    zero_kicks = [lambda x: 0.0, lambda x: 0.0]
-    assert discrete_action([0.0, 1.0, 3.0], zero_kicks, p2) == pytest.approx(2.5)
-
-    c_kicks = [lambda x: 0.4] * 5
-    assert discrete_action([1.0] * 6, c_kicks, p2) == pytest.approx(-2.0)
-
-    p3 = ModelParams(3.0)
-    assert discrete_action([0.0, 1.0], [lambda x: 1.0], p3) == pytest.approx(1 / 3 - 1)
-
-    with pytest.raises(ValueError):
-        discrete_action([0.0, 1.0], [lambda x: 0.0, lambda x: 0.0], p2)
+        PathAction(np.array([0.0, 1.0]), zero_potential(), ModelParams(2.0),
+                   quad_points=0)
 
 
 def test_average_speed_examples():
@@ -171,9 +140,8 @@ def test_jensen_lower_bound_examples_and_property():
             while len(np.unique(t)) < n or np.min(np.diff(t)) < 1e-3:
                 t = np.sort(rng.uniform(0, 5, n))
             x = rng.uniform(-3, 3, n)
-            tr = Trajectory(t, x)
             jb = jensen_lower_bound(x[-1] - x[0], t[-1] - t[0], p)
-            assert action(tr, U0, p) >= jb - 1e-12
+            assert PathAction(t, U0, p).action(x) >= jb - 1e-12
 
 
 def test_certify_potential_bounds():

@@ -295,6 +295,14 @@ def test_cli_potential_round_trip(tmp_path):
     assert out2.read_bytes() == text1   # bit-exact round trip
 
 
+def test_cli_potential_rejects_nan_period(tmp_path, capsys):
+    out = tmp_path / "pot.json"
+    assert cli_main(["potential", "--kind", "periodic", "--period", "nan",
+                     "--out", str(out)]) == 2
+    assert "period must be > 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _spec_config(tmp_path, spec):
     p = tmp_path / "conf.json"
     p.write_text(json.dumps({"potential": spec}))

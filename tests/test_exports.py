@@ -62,6 +62,41 @@ def test_module_layering():
     assert _hjlab_imports("laxoleinik") == {"core", "minimizer"}
 
 
+def test_every_public_name_has_a_reader():
+    """Each public top-level function and class of the numerical layers is
+    read somewhere: by name in src/ outside its own definition, or in
+    perfbench/ (string mentions count, since some workloads look their
+    callee up with getattr).  Code only the tests call belongs in
+    tests/oracles.py.  ``bump`` is the one exception: the scalar reference
+    the in-place bump kernels are compared against bit for bit."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.abspath(hjlab.__file__))
+    trees = {}
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                trees[name[:-3]] = ast.parse(f.read())
+    bench = ""
+    for name in sorted(os.listdir(os.path.join(root, "perfbench"))):
+        if name.endswith(".py"):
+            with open(os.path.join(root, "perfbench", name)) as f:
+                bench += f.read()
+    unread = []
+    for module in ("core", "potentials", "minimizer", "laxoleinik"):
+        for node in trees[module].body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name == "bump"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            read = any(isinstance(n, ast.Name) and n.id == node.name
+                       and isinstance(n.ctx, ast.Load)
+                       and not (mod == module and id(n) in own)
+                       for mod, tree in trees.items() for n in ast.walk(tree))
+            if not read and not re.search(rf"\b{node.name}\b", bench):
+                unread.append(f"{module}.{node.name}")
+    assert unread == []
+
+
 _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
                 "scipy.ndimage", "scipy.stats", "scipy.interpolate")
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hjlab.core import ModelParams, PotentialField, constant_potential, zero_potential
-from hjlab.laxoleinik import (GridFunction, domination_defect, flow_defect,
+from hjlab.laxoleinik import (GridFunction, Kernel, domination_defect, flow_defect,
                               gridfunction_from_csv, gridfunction_to_csv,
-                              identity_kernel, kernel, kernel_bounds_defect,
+                              kernel, kernel_bounds_defect,
                               kernel_to_csv, lipschitz_in_large_constant,
-                              minplus_apply, minplus_compose, truncated_kernel)
+                              minplus_apply, minplus_compose)
 from hjlab.minimizer import GridSpec, enumerate_paths
 from hjlab.potentials import accelerating_potential, cosine_profile, periodic_potential
+from oracles import truncated_kernel
 
 P2 = ModelParams(beta=2.0, C=1.0)
 
@@ -141,7 +142,10 @@ def test_minplus_compose_quadratic_and_identity():
     fin = np.isfinite(comp.entries)
     assert np.max(np.abs(comp.entries - cont)[fin]) <= 2 * g.dx * 4.0
 
-    ident = identity_kernel(k1.target_nodes, 0.5)
+    # the zero-duration identity: 0 on the diagonal, +inf off it
+    nodes = k1.target_nodes
+    diag = np.where(np.eye(len(nodes), dtype=bool), 0.0, np.inf)
+    ident = Kernel(source_nodes=nodes, target_nodes=nodes, t1=0.5, t2=0.5, entries=diag)
     same = minplus_compose(k1, ident)
     assert np.array_equal(same.entries, k1.entries)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,18 +6,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory, action,
-                        constant_potential, el_residual, jensen_lower_bound,
-                        zero_potential)
+from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory,
+                        constant_potential, zero_potential)
 import hjlab.minimizer as minimizer
 from hjlab.minimizer import (DomainError, GridSpec, Window, WindowTouchError,
                              backtrack, comoving_window, enumerate_paths,
-                             lemma_wT_margin, newton_polish, path_cost,
+                             lemma_wT_margin, newton_polish,
                              progression_margins, refine, solve_dp, solve_dp_batched,
                              terminal_velocity,
                              velocity_bound_lower, velocity_bound_upper)
 from hjlab.potentials import (PaceCurve, accelerating_potential, cosine_profile,
                               glued_potential, glued_schedule, periodic_potential)
+from oracles import el_residual, jensen_lower_bound, path_cost
 
 P2 = ModelParams(beta=2.0, C=1.0)
 K2 = math.sqrt(2.0 / 5.0)
@@ -444,7 +445,8 @@ def test_refine_straight_line_unchanged():
     out = refine(tr, zero_potential(), P2, passes=3)
     # golden-section float dust only; the optimum is already attained
     assert np.max(np.abs(out.positions - tr.positions)) < 1e-7
-    assert action(out, zero_potential(), P2) <= action(tr, zero_potential(), P2) + 1e-15
+    pa = PathAction(tr.times, zero_potential(), P2)
+    assert pa.action(out.positions) <= pa.action(tr.positions) + 1e-15
 
 
 def test_refine_perturbed_line_approaches_jensen():
@@ -455,9 +457,10 @@ def test_refine_perturbed_line_approaches_jensen():
     tr = Trajectory(t, x)
     U0 = zero_potential()
     jb = jensen_lower_bound(1.5, 1.0, P2)
-    a0 = action(tr, U0, P2)
+    pa = PathAction(t, U0, P2)
+    a0 = pa.action(x)
     out = refine(tr, U0, P2, passes=200, rel_tol=1e-14)
-    a1 = action(out, U0, P2)
+    a1 = pa.action(out.positions)
     assert a1 <= a0
     assert a1 - jb < 0.02 * (a0 - jb)
 
@@ -486,7 +489,7 @@ def test_newton_polish_reaches_stationarity():
     out = newton_polish(tr, U, P2)
     assert out.positions[-1] == tr.positions[-1]                # terminal node pinned
     assert np.max(np.abs(pa.grad(out.positions)[:-1])) < 1e-8
-    assert action(out, U, P2) <= action(tr, U, P2)
+    assert pa.action(out.positions) <= pa.action(tr.positions)
 
 
 def test_terminal_velocity_uniform_and_bracket():
@@ -548,6 +551,28 @@ def test_free_left_transversality_first_order():
         v0[dt_scale] = abs(tr.velocities[0])
         assert v0[dt_scale] ** (P2.beta - 1.0) <= P2.C * g.dt_eff * 1.05 + 1e-12
     assert v0[0.25] < v0[1.0]   # decays with dt
+
+
+@pytest.mark.parametrize("beta, digest", [
+    (2.0, "4e01603c736f8bf6f1137d16acd953ef4fe9c76b3b2ea682bc392ab54953a0e9"),
+    (3.0, "5b1d6b40d58267a554529ae90627a46661303e31a5dc373fdea6eba7ae43bf5a"),
+])
+def test_refine_free_left_pinned_bits(beta, digest):
+    """refine(passes=30, free_left=True) on criterion 12's accelerating
+    instance (T = 20, dt = 0.04, dx = 0.01, target 0), each beta with its own
+    K2: the refined positions, the moved first node included, keep their
+    float64 bytes (SHA-256)."""
+    T, dt = 20.0, 0.04
+    p = ModelParams(beta, 1.0)
+    K = velocity_bound_lower(T, p).K2
+    U = accelerating_potential(0.0, 0.0, T, K, p.C, beta)
+    edge = PaceCurve(K=K, T=T, beta=beta).value(T)
+    grid = GridSpec(-edge - 8.0, 1.0, dt / 4.0, 0.0, T, dt,
+                    max(4.0 * K * math.log(T), 4.0 * math.sqrt(2.0)))
+    tr = backtrack(solve_dp(U, grid, None, p), 0.0)
+    out = refine(tr, U, p, passes=30, free_left=True)
+    assert out.positions[0] != tr.positions[0]
+    assert hashlib.sha256(out.positions.tobytes()).hexdigest() == digest
 
 
 def test_wT_lemma_and_progression_on_accelerating_run(random_minimizer_sweep):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hjlab.core import certify_potential
 from hjlab.potentials import (FEASIBLE_HORIZON_MAX, GluedSchedule, PaceCurve,
                               _bump_grad, _bump_value,
                               ScheduleOverflowError, accelerating_potential,
@@ -15,6 +14,7 @@ from hjlab.potentials import (FEASIBLE_HORIZON_MAX, GluedSchedule, PaceCurve,
                               pace_s2_gap,
                               periodic_potential, potential_from_spec,
                               random_potential)
+from oracles import certify_potential
 
 GRID_BETAS = (1.5, 2.0, 3.0)
 GRID_FRACTIONS = (0.01, 0.1, 0.5, 1.0)
@@ -301,23 +301,25 @@ def test_random_potential_autocorrelation_decay():
     assert 0.7 * tau <= lag_target <= 1.3 * tau
 
 
+SPECS = {
+    "zero": {"kind": "zero", "beta": 2.0},
+    "constant": {"kind": "constant", "beta": 2.0, "level": 0.4},
+    "accelerating": {"kind": "accelerating", "beta": 2.0, "C": 1.0, "K": 0.5,
+                     "t1": 0.0, "t2": 50.0, "y": 0.0},
+    "glued": {"kind": "glued", "beta": 2.0, "C": 1.0, "K": 0.5, "epsilon": 0.25,
+              "Tbar": 2.0, "n_max": 2, "cap": None},
+    "periodic": {"kind": "periodic", "beta": 2.0, "period": 1.0, "modulation": "cosine",
+                 "profile": {"kind": "cosine", "amplitude": 1.0, "wavenumber": 1.0,
+                             "phase": 0.0}},
+    "random": {"kind": "random", "beta": 2.0, "C": 1.0, "seed": 3,
+               "correlation_time": 2.0, "t_min": -10.0, "t_max": 0.0,
+               "profiles": [{"kind": "cosine", "amplitude": 1.0, "wavenumber": 1.0,
+                             "phase": 0.0}]},
+}
+
+
 def test_potential_spec_round_trip():
-    specs = [
-        {"kind": "zero", "beta": 2.0},
-        {"kind": "constant", "beta": 2.0, "level": 0.4},
-        {"kind": "accelerating", "beta": 2.0, "C": 1.0, "K": 0.5,
-         "t1": 0.0, "t2": 50.0, "y": 0.0},
-        {"kind": "glued", "beta": 2.0, "C": 1.0, "K": 0.5, "epsilon": 0.25,
-         "Tbar": 2.0, "n_max": 2, "cap": None},
-        {"kind": "periodic", "beta": 2.0, "period": 1.0, "modulation": "cosine",
-         "profile": {"kind": "cosine", "amplitude": 1.0, "wavenumber": 1.0,
-                     "phase": 0.0}},
-        {"kind": "random", "beta": 2.0, "C": 1.0, "seed": 3,
-         "correlation_time": 2.0, "t_min": -10.0, "t_max": 0.0,
-         "profiles": [{"kind": "cosine", "amplitude": 1.0, "wavenumber": 1.0,
-                       "phase": 0.0}]},
-    ]
-    for spec in specs:
+    for spec in SPECS.values():
         U = potential_from_spec(spec)
         text1 = json.dumps(U.spec, sort_keys=True)
         U2 = potential_from_spec(json.loads(text1))
@@ -325,6 +327,21 @@ def test_potential_spec_round_trip():
         assert text1 == text2
     with pytest.raises(ValueError):
         potential_from_spec({"kind": "nope"})
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("accelerating", "y"), ("glued", "C"), ("glued", "Tbar"), ("periodic", "period"),
+    ("periodic", "amplitude"), ("periodic", "wavenumber"), ("periodic", "phase"),
+    ("random", "C"), ("random", "correlation_time"),
+])
+def test_potential_spec_rejects_nan(kind, key):
+    """A NaN parameter fails with a message that names it, instead of
+    building a field whose bound or values are NaN (or, for Tbar, quietly
+    reading it as 1)."""
+    spec = json.loads(json.dumps(SPECS[kind]))
+    (spec["profile"] if key in spec.get("profile", {}) else spec)[key] = math.nan
+    with pytest.raises(ValueError, match=rf"^{key} must be .*, got nan$"):
+        potential_from_spec(spec)
 
 
 def test_feasible_horizon_guard_value():
