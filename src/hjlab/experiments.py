@@ -91,6 +91,9 @@ class ExperimentConfig:
             # the window's lower edge would sit on the potential edge and cut
             # the bump off: every minimizer stays static (v = 0)
             raise ValueError(f"margin must be > 0, got {self.margin}")
+        if not (math.isfinite(self.wavenumber) and self.wavenumber != 0):
+            # the periodic halo spans two wavelengths, 4 pi / |k|
+            raise ValueError(f"wavenumber must be finite and nonzero, got {self.wavenumber}")
         if self.horizons is None:
             self.horizons = list(EXPERIMENTS[self.kind].horizons)
             if self.kind == "scaling" and self.profile == "large":
@@ -348,7 +351,7 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingReport:
 def _periodic_grid(cfg: ExperimentConfig, T: float):
     p = cfg.params
     x_targets = np.array(cfg.periodic_targets, dtype=float)
-    halo = 4.0 * math.pi / cfg.wavenumber + 2.0
+    halo = 4.0 * math.pi / abs(cfg.wavenumber) + 2.0
     v_env = (p.alpha * p.C) ** (1.0 / p.beta)
     v_max = max(4.0 * v_env, 2.0)
     dx = cfg.dx_max
@@ -401,7 +404,7 @@ def _operator_regularity_suite(cfg: ExperimentConfig, U):
     """Iterate the period-1 solution operator 20 times from S = 0 and track
     the domination defect and Lipschitz-in-the-large constant."""
     p = cfg.params
-    halo = 4.0 * math.pi / cfg.wavenumber + 2.0
+    halo = 4.0 * math.pi / abs(cfg.wavenumber) + 2.0
     v_max = 4.0 * (p.alpha * p.C) ** (1.0 / p.beta)
     dx = 2 * cfg.dx_max
     grid = GridSpec(x_min=-halo, x_max=halo, dx=dx, t1=0.0, t2=cfg.period,

@@ -43,7 +43,10 @@ __all__ = [
 
 # solve_dp relaxes slices narrower than this by a row-wise argmin and wider
 # ones by a running scan over shifted rows; on recorded scaling-run slices
-# (stencil 30) the two cost the same per cell-offset at 2500-2750 targets
+# the two cost the same per cell-offset at 2500-2750 targets, measured at the
+# full stencil (30).  A shorter reach moves the crossover down: at reach 6 the
+# two tie near 500 targets, at reach 15 near 2000 (2-vCPU Xeon), but scaling
+# runs' narrow slices sit near 400 targets at reach 6, so a rule gains little
 _DP_SCAN_WIDTH = 2600
 # solve_dp_batched relaxes this many rows at a time through one padded
 # buffer; on 411-node kernel slices (stencil 16, 2 MB L2 per core) 64-128
@@ -198,6 +201,31 @@ def _transition_costs(grid: GridSpec, beta: float) -> np.ndarray:
     return np.abs(offs * grid.dx) ** beta / (beta * grid.dt_eff ** (beta - 1.0))
 
 
+def _reach(half, a, out=None) -> int:
+    """Largest offset the slope of the source values ``a`` leaves in play.
+
+    With D = max |a[i+1] - a[i]| along the last axis, this is the largest o
+    with half[o] < o D (1 + 1e-12), half[o] the cost of offset o; 0 when no o
+    qualifies and m = len(half) - 1 when D is not finite.  Each offset is
+    tested, so float costs need not be convex.  Every offset |o| beyond it
+    loses to offset 0 at a target j whose offset-0 source lies in ``a``:
+    a[j+o] + half[o] >= a[j] - |o| D + half[o] >= a[j] in real arithmetic
+    (the factor covers D's rounding; a source past ``a`` is +inf), rounding
+    is monotone, and under the (|o|, o) priority a later tie never displaces
+    an earlier minimum.  So a sweep that skips those offsets keeps every
+    value and argmin bit for bit.  ``out`` receives the differences (the
+    shape of ``a[..., 1:]``).
+    """
+    m = len(half) - 1
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf: NaN
+        d = np.subtract(a[..., 1:], a[..., :-1], out=out)
+        D = float(np.abs(d, out=d).max(initial=0.0))
+    if not math.isfinite(D):
+        return m
+    costs = half.tolist()
+    return next((o for o in range(m, 0, -1) if costs[o] < o * D * (1.0 + 1e-12)), 0)
+
+
 def _priority_scan(buf, W, half, off_dtype):
     """First minimum over the offsets 0, -1, +1, ..., -m, +m of the padded
     slice ``buf`` for each of its W targets: (values, offsets)."""
@@ -236,6 +264,14 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     padded slice in the same order (fewer numpy calls per cell against
     better cache use).  Both give the same values and offsets, bit for bit.
     Both halves use one cost row, since the cost is symmetric in the offset.
+
+    Each slice visits only the offsets up to its certified reach
+    (:func:`_reach` of the slice's source values): an offset past it cannot
+    beat offset 0, so the values and offsets are those of the full stencil,
+    bit for bit.  Two cases keep the full stencil: a slice whose source
+    values have a non-finite step (+inf cells still filling in, say after a
+    co-moving window's detachment-cap jump), and the targets whose offset-0
+    source lies outside the source slice (the strips at moving window edges).
     A NaN in S0 raises ``ValueError`` and a NaN potential value raises
     :class:`DomainError`, since a NaN has no place in that order.
     """
@@ -270,11 +306,25 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     W_max = max(hi - lo + 1 for lo, hi in bounds[1:])
     buf = np.empty(W_max + 2 * m)
     view = sliding_window_view(buf, 2 * m + 1)     # row j: sources j-m..j+m
-    # narrow slices: row j holds the candidates of offsets 0, 0, -1, +1, ...
+    # narrow pieces: a (W, 2r+2) row j holds the candidates of offsets
+    # 0, 0, -1, +1, ..., -r, +r
     W_narrow = min(W_max, _DP_SCAN_WIDTH)
-    pairs = np.empty((W_narrow, m + 1, 2))
-    rows = pairs.reshape(W_narrow, 2 * m + 2)
-    flat = np.arange(W_narrow) * (2 * m + 2)
+    cells = np.empty(W_narrow * (2 * m + 2))
+    row_ids = np.arange(W_narrow)
+
+    def relax(j0, j1, r):
+        """Priority argmin over the offsets -r..r of the targets j0..j1-1."""
+        W = j1 - j0
+        if W >= _DP_SCAN_WIDTH:
+            return _priority_scan(buf[m - r + j0:m + r + j1], W, half[:r + 1], off_dtype)
+        pairs = cells[:W * (2 * r + 2)].reshape(W, r + 1, 2)
+        np.add(view[j0:j1, m - r:m + 1][:, ::-1], half[:r + 1], out=pairs[:, :, 0])
+        np.add(view[j0:j1, m:m + r + 1], half[:r + 1], out=pairs[:, :, 1])
+        rows = pairs.reshape(W, 2 * r + 2)
+        col = np.argmin(rows, axis=1)
+        best = cells.take(row_ids[:W] * (2 * r + 2) + col)
+        o = (col >> 1).astype(off_dtype)
+        return best, np.where(col & 1, o, -o)
 
     offsets = []
     for k in range(n_steps):
@@ -295,15 +345,16 @@ def solve_dp(U: PotentialField, grid: GridSpec,
         if b_lo < b_hi:
             buf[b_lo:b_hi] = adjusted[b_lo - shift:b_hi - shift]
 
-        if W_t < _DP_SCAN_WIDTH:
-            np.add(view[:W_t, m::-1], half, out=pairs[:W_t, :, 0])   # 0, -1, ..., -m
-            np.add(view[:W_t, m:], half, out=pairs[:W_t, :, 1])     # 0, +1, ..., +m
-            col = np.argmin(rows[:W_t], axis=1)
-            best = rows[:W_t].ravel().take(flat[:W_t] + col)
-            o = (col >> 1).astype(off_dtype)
-            off = np.where(col & 1, o, -o)
-        else:
-            best, off = _priority_scan(buf, W_t, half, off_dtype)
+        # the reach certifies targets c0..c1-1, whose offset-0 source lies in
+        # the source slice; the strips past it, at moving window edges, keep
+        # the full stencil
+        r = _reach(half, adjusted)
+        c0 = min(max(0, lo_s - lo_t), W_t)
+        c1 = max(min(W_t, hi_s - lo_t + 1), c0)
+        pieces = [(0, c0, m), (c0, c1, r), (c1, W_t, m)] if r < m else [(0, W_t, m)]
+        parts = [relax(a, b, s) for a, b, s in pieces if a < b]
+        best = np.concatenate([v for v, _ in parts])
+        off = np.concatenate([o for _, o in parts])
 
         # +inf targets are cells not yet reachable within the window band
         # (or outside a Dirac cone); they fill in as the cone expands.  A
@@ -335,6 +386,10 @@ def solve_dp_batched(U: PotentialField, grid: GridSpec, S0_matrix: np.ndarray,
     needs the cost ``|o dx|^beta`` to be symmetric in the offset.  It does
     not carry over to :func:`solve_dp`: ``fl(a + c) == fl(b + c)`` can hold
     with ``a != b``, and the backpointers' (|o|, o) tie-break would see it.
+    A block folds only the offsets up to the certified reach of all its rows
+    at once (:func:`_reach`, as in :func:`solve_dp`); a Dirac row's +inf cone
+    keeps the full stencil.  On the full grid no target needs the edge
+    fallback of :func:`solve_dp`.
 
     A NaN in S0_matrix raises ``ValueError`` and a NaN source value (a NaN
     potential value) raises :class:`DomainError`, as in :func:`solve_dp`;
@@ -367,8 +422,9 @@ def solve_dp_batched(U: PotentialField, grid: GridSpec, S0_matrix: np.ndarray,
             if np.isnan(centre).any():
                 raise DomainError(f"NaN source value at slice {k}: the potential is "
                                   "not a number there")
+            reach = _reach(half, centre, out=t[:, :n - 1])
             np.add(centre, half[0], out=best)
-            for o in range(1, m + 1):
+            for o in range(1, reach + 1):
                 np.minimum(P[:, m - o:m - o + n], P[:, m + o:m + o + n], out=t)
                 t += half[o]
                 np.minimum(best, t, out=best)

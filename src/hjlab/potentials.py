@@ -439,7 +439,7 @@ class SpatialProfile:
 
 def cosine_profile(amplitude: float, wavenumber: float = 1.0,
                    phase: float = 0.0) -> SpatialProfile:
-    """amplitude * (1 + cos(k x + phase)) / 2; derivative bounded by a*k/2."""
+    """amplitude * (1 + cos(k x + phase)) / 2; derivative bounded by a*|k|/2."""
     a, k, ph = float(amplitude), float(wavenumber), float(phase)
     if not a >= 0:
         raise ValueError(f"amplitude must be >= 0, got {a}")
@@ -450,7 +450,7 @@ def cosine_profile(amplitude: float, wavenumber: float = 1.0,
         value_fn=lambda x: a * (1.0 + np.cos(k * x + ph)) / 2.0,
         deriv_fn=lambda x: -a * k * np.sin(k * x + ph) / 2.0,
         sup_value=a,
-        sup_deriv=a * k / 2.0,
+        sup_deriv=a * abs(k) / 2.0,
         spec={"kind": "cosine", "amplitude": a, "wavenumber": k, "phase": ph},
     )
 

@@ -47,6 +47,9 @@ def test_config_validation():
     for margin in (0.0, -1.0):   # the window would cut the bump off: v = 0
         with pytest.raises(ValueError, match="margin"):
             ExperimentConfig(kind="scaling", margin=margin)
+    for k in (0.0, -0.0, math.inf, -math.inf, math.nan):   # halo 4 pi / |k|
+        with pytest.raises(ValueError, match="wavenumber"):
+            ExperimentConfig(kind="periodic-control", wavenumber=k)
 
 
 def test_csv_columns_are_record_fields():
@@ -360,6 +363,35 @@ def test_cli_exit_codes(tmp_path):
     cfgfile.write_text(json.dumps({"margin": 0}))
     assert cli_main(["scaling", "--horizons", "50", "--config", str(cfgfile),
                      "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_zero_wavenumber_exit_2(tmp_path, capsys):
+    # the periodic halo divides by the wavenumber
+    cfgfile = tmp_path / "k0.json"
+    cfgfile.write_text(json.dumps({"wavenumber": 0}))
+    assert cli_main(["periodic-control", "--horizons", "20,40", "--config",
+                     str(cfgfile), "--out-dir", str(tmp_path)]) == 2
+    assert "wavenumber must be finite and nonzero, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "periodic-control.json").exists()
+
+
+def test_cli_negative_wavenumber_runs_as_positive(tmp_path, capsys):
+    # cos is even, so k = -1 gives the field, the halo and the report of k = 1
+    reports_by_k = {}
+    for k in (1.0, -1.0):
+        cfgfile = tmp_path / f"k{k}.json"
+        cfgfile.write_text(json.dumps({"wavenumber": k}))
+        out = tmp_path / f"out{k}"
+        rc = cli_main(["periodic-control", "--horizons", "20,40", "--config",
+                       str(cfgfile), "--out-dir", str(out)])
+        assert rc in (0, 1)               # flags may fail on two short horizons
+        reports_by_k[k] = (rc, json.loads((out / "periodic-control.json").read_text()))
+    assert "configuration error" not in capsys.readouterr().err
+    (rc_pos, pos), (rc_neg, neg) = reports_by_k[1.0], reports_by_k[-1.0]
+    assert rc_neg == rc_pos
+    assert neg["config"]["wavenumber"] == -1.0
+    for key in ("records", "flags", "notes"):
+        assert neg[key] == pos[key]
 
 
 def test_cli_kernel_exit_codes(tmp_path, monkeypatch, capsys):

@@ -107,6 +107,19 @@ def test_three_point_hand_instance():
     assert np.array_equal(tab.final_values, ev_vals)
 
 
+def _tabulated_field(g, vals, bound):
+    """Kick potential U(x_i, t_k) = vals[k, i] on the lattice of g."""
+    n_x, n_steps = g.n_x, g.n_steps
+
+    def ev(x, t):
+        xi = np.clip(np.round((np.asarray(x) - g.x_min) / g.dx).astype(int), 0, n_x - 1)
+        ti = np.clip(np.round((np.asarray(t) - g.t1) / g.dt_eff), 0, n_steps + 1).astype(int)
+        return vals[ti, xi]
+
+    return PotentialField(lambda ts, deriv: lambda x: (
+        np.zeros_like(np.asarray(x, dtype=float)) if deriv else ev(x, ts)), bound=bound)
+
+
 @st.composite
 def toy_batched_instances(draw, max_rows=4):
     """Toy grid, tabulated kick potential and up to max_rows S0 rows (Dirac,
@@ -120,14 +133,7 @@ def toy_batched_instances(draw, max_rows=4):
     g = GridSpec(x_min=0.0, x_max=0.5 * (n_x - 1), dx=0.5, t1=0.0,
                  t2=dt * n_steps, dt=dt, v_max=(m + 0.5) * 0.5 / dt)
     vals = draw(arrays(np.float64, (n_steps + 2, n_x), elements=st.floats(0, 1)))
-
-    def ev(x, t):
-        xi = np.clip(np.round((np.asarray(x) - g.x_min) / g.dx).astype(int), 0, n_x - 1)
-        ti = np.clip(np.round((np.asarray(t) - g.t1) / g.dt_eff), 0, n_steps + 1).astype(int)
-        return vals[ti, xi]
-
-    U = PotentialField(lambda ts, deriv: lambda x: (
-        np.zeros_like(np.asarray(x, dtype=float)) if deriv else ev(x, ts)), bound=1.0)
+    U = _tabulated_field(g, vals, 1.0)
     rows = []
     for _ in range(draw(st.integers(1, max_rows))):
         kind = draw(st.sampled_from(["dirac", "finite", "partial"]))
@@ -176,6 +182,20 @@ def test_batched_row_blocks_equal_dp_and_enumeration(instance):
         minimizer._BATCH_ROWS = saved
 
 
+def _draw_window(draw, g):
+    """g, or g with a random window whose slices stay connected."""
+    n_x, n_steps, m = g.n_x, g.n_steps, g.stencil
+    if draw(st.booleans()):
+        lo = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=n_steps + 1,
+                                    max_size=n_steps + 1)))
+        width = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=n_steps + 1,
+                                       max_size=n_steps + 1)))
+        w = Window(lo=lo, hi=np.minimum(lo + width, n_x - 1))
+        assume(not (np.any(w.lo[1:] > w.hi[:-1] + m) or np.any(w.hi[1:] < w.lo[:-1] - m)))
+        g = g.with_window(w)
+    return g
+
+
 @st.composite
 def tie_heavy_dp_instances(draw):
     """Integer-valued tabulated potential and S0 on a dyadic grid, so that
@@ -190,27 +210,42 @@ def tie_heavy_dp_instances(draw):
                  t2=dt * n_steps, dt=dt, v_max=(m + 0.5) * 0.5 / dt)
     vals = draw(arrays(np.float64, (n_steps + 2, n_x),
                        elements=st.integers(0, 2).map(float)))
-
-    def ev(x, t):
-        xi = np.clip(np.round((np.asarray(x) - g.x_min) / g.dx).astype(int), 0, n_x - 1)
-        ti = np.clip(np.round((np.asarray(t) - g.t1) / g.dt_eff), 0, n_steps + 1).astype(int)
-        return vals[ti, xi]
-
-    U = PotentialField(lambda ts, deriv: lambda x: (
-        np.zeros_like(np.asarray(x, dtype=float)) if deriv else ev(x, ts)), bound=2.0)
-    if draw(st.booleans()):
-        lo = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=n_steps + 1,
-                                    max_size=n_steps + 1)))
-        width = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=n_steps + 1,
-                                       max_size=n_steps + 1)))
-        w = Window(lo=lo, hi=np.minimum(lo + width, n_x - 1))
-        assume(not (np.any(w.lo[1:] > w.hi[:-1] + m) or np.any(w.hi[1:] < w.lo[:-1] - m)))
-        g = g.with_window(w)
+    U = _tabulated_field(g, vals, 2.0)
+    g = _draw_window(draw, g)
     lo0, hi0 = g.slice_range(0)
     S0 = np.array(draw(st.lists(st.integers(-3, 3).map(float), min_size=hi0 - lo0 + 1,
                                 max_size=hi0 - lo0 + 1)))
     S0[np.array(draw(arrays(np.bool_, len(S0))))] = np.inf
     S0[draw(st.integers(0, len(S0) - 1))] = draw(st.integers(-3, 3).map(float))
+    return U, g, ModelParams(beta=beta, C=2.0), S0
+
+
+def _dyadic_walk(draw, n, start):
+    """start plus a walk of n - 1 steps in {-1, 0, +1} / 16."""
+    steps = draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+    return start + np.cumsum([0] + steps) / 16.0
+
+
+@st.composite
+def smooth_dp_instances(draw):
+    """Smooth-valued sibling of :func:`tie_heavy_dp_instances`: every row of
+    the tabulated potential and a finite S0 are dyadic walks with steps of at
+    most 1/16, so the first slice's source values step by at most 1/8 and its
+    reach is below the stencil (at least 2) on every beta and dt drawn; sums
+    still tie exactly.  The optional random window gives target strips past
+    the source slice, which keep the full stencil."""
+    beta = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    n_x = draw(st.integers(3, 12))
+    n_steps = draw(st.integers(1, 5))
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    m = draw(st.integers(2, n_x + 3))
+    g = GridSpec(x_min=0.0, x_max=0.5 * (n_x - 1), dx=0.5, t1=0.0,
+                 t2=dt * n_steps, dt=dt, v_max=(m + 0.5) * 0.5 / dt)
+    vals = np.array([_dyadic_walk(draw, n_x, 1.0) for _ in range(n_steps + 2)])
+    U = _tabulated_field(g, vals, 2.0)
+    g = _draw_window(draw, g)
+    lo0, hi0 = g.slice_range(0)
+    S0 = _dyadic_walk(draw, hi0 - lo0 + 1, float(draw(st.integers(-3, 3))))
     return U, g, ModelParams(beta=beta, C=2.0), S0
 
 
@@ -263,6 +298,85 @@ def test_solve_dp_backpointers_equal_priority_argmin(instance):
             assert [o.tolist() for o in tab.offsets] == offsets
     finally:
         minimizer._DP_SCAN_WIDTH = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_dp_instances())
+def test_solve_dp_pruned_sweep_equals_priority_argmin(instance):
+    """On smooth slices the sweep skips offsets past the certified reach, and
+    values and every offset still equal the full-stencil priority argmin on
+    both relaxation paths."""
+    U, g, p, S0 = instance
+    values, offsets = _priority_argmin_oracle(U, g, S0, p)
+    reach, pruned = minimizer._reach, []
+
+    def spy(half, a, out=None):
+        r = reach(half, a, out)
+        pruned.append(r < len(half) - 1)
+        return r
+
+    saved = minimizer._DP_SCAN_WIDTH
+    try:
+        minimizer._reach = spy
+        for scan_width in (1, 10 ** 9):
+            minimizer._DP_SCAN_WIDTH = scan_width
+            try:
+                tab = solve_dp(U, g, S0, p)
+            except DomainError:
+                assume(False)
+            assert tab.final_values.tobytes() == values.tobytes()
+            assert [o.tolist() for o in tab.offsets] == offsets
+    finally:
+        minimizer._DP_SCAN_WIDTH = saved
+        minimizer._reach = reach
+    assert pruned[0] and pruned[g.n_steps]   # the first slice prunes on both paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=st.sampled_from([1.5, 2.0, 3.0]), dt=st.sampled_from([0.25, 0.5, 1.0]),
+       m=st.integers(1, 12), start=st.integers(-64, 64),
+       steps=st.lists(st.integers(-8, 8), max_size=40),
+       scale=st.sampled_from([1 / 64, 1 / 16, 1 / 4, 1.0]))
+def test_reach_certifies_skipped_offsets(beta, dt, m, start, steps, scale):
+    """Every candidate past the reach is >= the offset-0 candidate in floats,
+    on smooth dyadic slices where ties are exact."""
+    g = GridSpec(x_min=0.0, x_max=0.5 * m, dx=0.5, t1=0.0, t2=dt, dt=dt,
+                 v_max=(m + 0.5) * 0.5 / dt)
+    assert g.stencil == m
+    half = minimizer._transition_costs(g, beta)[m:]
+    a = (start + np.cumsum([0] + steps)) * scale
+    r = minimizer._reach(half, a)
+    assert 0 <= r <= m
+    for j in range(len(a)):
+        for o in range(r + 1, m + 1):
+            for s in (-o, o):
+                if 0 <= j + s < len(a):
+                    assert a[j + s] + half[o] >= a[j] + half[0]
+
+
+def test_reach_pinned_and_non_finite():
+    # dx = 0.5, dt = 1, beta = 2: half[o] = o^2 / 8; slope D = 1/2 leaves
+    # o <= 4 (o = 4 ties offset 0 exactly, so it stays in play)
+    g = GridSpec(x_min=0.0, x_max=5.0, dx=0.5, t1=0.0, t2=1.0, dt=1.0, v_max=5.25)
+    m = g.stencil
+    half = minimizer._transition_costs(g, 2.0)[m:]
+    assert m == 10 and half[4] == 2.0
+    a = 0.5 * np.arange(20.0)
+    assert minimizer._reach(half, a) == 4
+    assert minimizer._reach(half, -a) == 4
+    # rows of a block share the largest step, written to the scratch buffer
+    out = np.empty((2, 19))
+    assert minimizer._reach(half, np.stack([a, 2.0 * a]), out=out) == 8
+    assert np.array_equal(out[1], np.ones(19))
+    assert minimizer._reach(half, np.zeros(20)) == 0
+    assert minimizer._reach(half, a[:1]) == 0
+    for bad in (np.inf, -np.inf, np.nan):
+        b = a.copy()
+        b[7] = bad
+        assert minimizer._reach(half, b) == m
+    cone = np.full(20, np.inf)
+    cone[9] = 0.0
+    assert minimizer._reach(half, cone) == m
 
 
 def test_nan_source_value_raises():

@@ -254,6 +254,31 @@ def test_periodic_potential():
         periodic_potential(prof, period=0.0)
 
 
+def test_periodic_potential_derivative_bound_uses_abs_wavenumber():
+    # |dU/dx| reaches a|k|/2 = 1.5 > 1 for k = -3 as for k = 3
+    assert cosine_profile(1.0, -3.0).sup_deriv == cosine_profile(1.0, 3.0).sup_deriv == 1.5
+    for k in (3.0, -3.0):
+        with pytest.raises(ValueError, match="derivative bound"):
+            periodic_potential(cosine_profile(1.0, k), 1.0)
+    U = periodic_potential(cosine_profile(1.0, -2.0), 1.0)
+    assert certify_potential(U, (-10, 10), (0, 5), n=10_000, seed=4).ok
+
+
+def test_random_potential_rescale_uses_abs_wavenumber():
+    # cos is even: a profile with wavenumber -k gives the field of +k, so the
+    # joint rescale, which bounds the gradient by sum a|k|/2, must match too
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-5, 5, 300)
+    ts = rng.uniform(-30, 0, 300)
+    fields = [random_potential(8, [cosine_profile(1.0, k), cosine_profile(0.5, 0.4)],
+                               2.0, t_min=-30.0, t_max=0.0, C=1.0)
+              for k in (3.0, -3.0)]
+    for f in ("value", "grad"):
+        got = [np.asarray(getattr(U, f)(xs, ts)) for U in fields]
+        assert got[0].tobytes() == got[1].tobytes()
+    assert certify_potential(fields[1], (-5, 5), (-30, 0), n=10_000, seed=9).ok
+
+
 def _modulation(U, ts):
     """a(t) of a one-profile random field whose cosine profile has amplitude
     1, phase 0 and wavenumber <= 2: the profile peaks at x = 0 with value 1
