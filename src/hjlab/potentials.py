@@ -155,18 +155,6 @@ class PaceCurve:
 
     def value(self, s):
         """g(s), vectorized; exact incomplete-gamma evaluation."""
-        if isinstance(s, (int, float)):
-            # the array path's range check, clip and np.log / gamma_fn /
-            # gammaincc calls in the same order, on Python floats: the DP
-            # evaluates one scalar time per slice
-            s = float(s)
-            if s < -1e-12 or s > self.T * (1 + 1e-12):
-                raise ValueError(f"s outside [0, T={self.T}]")
-            s = min(max(s, 0.0), self.T)
-            if not s > 0.0:
-                return 0.0
-            z = np.log(self.T / s)
-            return float(self.K * self.T * gamma_fn(self._a) * gammaincc(self._a, z))
         s = self._check_range(s)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
@@ -280,10 +268,7 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
 
     def _slice(ts, deriv):
         kernel = _bump_grad if deriv else _bump_value
-        if isinstance(ts, (int, float)):   # one scalar time per DP slice
-            g = curve.value(min(max(t2 - ts, 0.0), curve.T))
-        else:
-            g = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
+        g = curve.value(np.clip(t2 - np.asarray(ts, dtype=float), 0.0, curve.T))
         return lambda x: kernel(_shifted(np.subtract, x, y, g), C)
 
     def support_hint(t):

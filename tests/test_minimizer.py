@@ -16,7 +16,8 @@ from hjlab.minimizer import (DomainError, GridSpec, Window, WindowTouchError,
                              terminal_velocity,
                              velocity_bound_lower, velocity_bound_upper)
 from hjlab.potentials import (PaceCurve, accelerating_potential, cosine_profile,
-                              glued_potential, glued_schedule, periodic_potential)
+                              glued_potential, glued_schedule, periodic_potential,
+                              random_potential)
 from oracles import el_residual, jensen_lower_bound, path_cost
 
 P2 = ModelParams(beta=2.0, C=1.0)
@@ -310,9 +311,9 @@ def test_solve_dp_pruned_sweep_equals_priority_argmin(instance):
     values, offsets = _priority_argmin_oracle(U, g, S0, p)
     reach, pruned = minimizer._reach, []
 
-    def spy(half, a, out=None):
-        r = reach(half, a, out)
-        pruned.append(r < len(half) - 1)
+    def spy(costs, a, k, out=None):
+        r = reach(costs, a, k, out)
+        pruned.append(r < len(costs) - 1)
         return r
 
     saved = minimizer._DP_SCAN_WIDTH
@@ -345,7 +346,7 @@ def test_reach_certifies_skipped_offsets(beta, dt, m, start, steps, scale):
     assert g.stencil == m
     half = minimizer._transition_costs(g, beta)[m:]
     a = (start + np.cumsum([0] + steps)) * scale
-    r = minimizer._reach(half, a)
+    r = minimizer._reach(half, a, 0)
     assert 0 <= r <= m
     for j in range(len(a)):
         for o in range(r + 1, m + 1):
@@ -362,21 +363,27 @@ def test_reach_pinned_and_non_finite():
     half = minimizer._transition_costs(g, 2.0)[m:]
     assert m == 10 and half[4] == 2.0
     a = 0.5 * np.arange(20.0)
-    assert minimizer._reach(half, a) == 4
-    assert minimizer._reach(half, -a) == 4
+    assert minimizer._reach(half, a, 0) == 4
+    assert minimizer._reach(half, -a, 0) == 4
     # rows of a block share the largest step, written to the scratch buffer
     out = np.empty((2, 19))
-    assert minimizer._reach(half, np.stack([a, 2.0 * a]), out=out) == 8
+    assert minimizer._reach(half, np.stack([a, 2.0 * a]), 0, out=out) == 8
     assert np.array_equal(out[1], np.ones(19))
-    assert minimizer._reach(half, np.zeros(20)) == 0
-    assert minimizer._reach(half, a[:1]) == 0
-    for bad in (np.inf, -np.inf, np.nan):
+    assert minimizer._reach(half, np.zeros(20), 0) == 0
+    assert minimizer._reach(half, a[:1], 0) == 0
+    for bad in (np.inf, -np.inf):
         b = a.copy()
         b[7] = bad
-        assert minimizer._reach(half, b) == m
+        assert minimizer._reach(half, b, 0) == m
     cone = np.full(20, np.inf)
     cone[9] = 0.0
-    assert minimizer._reach(half, cone) == m
+    assert minimizer._reach(half, cone, 0) == m
+    # a NaN raises, naming the slice: through D, next to +inf cells, and on
+    # one node, where there is no difference to carry it
+    for b in (a.copy(), cone.copy(), a[:1].copy(), np.stack([a, a])):
+        b.flat[b.size // 2] = np.nan
+        with pytest.raises(DomainError, match="NaN source value at slice 3"):
+            minimizer._reach(half, b, 3)
 
 
 def test_nan_source_value_raises():
@@ -396,6 +403,100 @@ def test_nan_source_value_raises():
                 0.0 * x if deriv else np.where(ts > t_nan, np.nan, 0.0 * x)), bound=1.0)
             with pytest.raises(DomainError, match=f"NaN source value at slice {k}"):
                 sweep(U, np.zeros(g.n_x))
+
+
+def _nan_field(nan_at):
+    """Zero potential, NaN at the (x, t) where nan_at holds."""
+    return PotentialField(lambda ts, deriv: lambda x: (
+        0.0 * x if deriv else np.where(nan_at(x, ts), np.nan, 0.0 * x)), bound=1.0)
+
+
+def test_nan_guard_rides_the_reach_in_both_sweeps():
+    """The NaN guard runs only when the reach's D is not finite or holds no
+    difference; each case still raises naming the slice, in both sweeps."""
+    g = GridSpec(x_min=-1.0, x_max=1.0, dx=0.5, t1=0.0, t2=1.0, dt=0.5, v_max=2.0)
+    one = GridSpec(x_min=0.0, x_max=0.1, dx=1.0, t1=0.0, t2=1.0, dt=0.5, v_max=2.0)
+    assert (g.n_x, g.n_steps, g.stencil) == (5, 2, 2) and one.n_x == 1
+    dirac = np.full(5, np.inf)
+    dirac[0] = 0.0
+    # a NaN at slice 0; one at slice 1 next to the +inf cells of a Dirac
+    # cone; one on a one-node grid, with no difference to make D NaN
+    cases = [(g, np.zeros(5), lambda x, t: (x == 0.0) & (t < 0.25), 0),
+             (g, dirac, lambda x, t: (x == -0.5) & (t > 0.25), 1),
+             (one, np.zeros(1), lambda x, t: t > 0.25, 1)]
+    for grid, S0, nan_at, k in cases:
+        U = _nan_field(nan_at)
+        for sweep in (lambda: solve_dp(U, grid, S0, P2),
+                      lambda: solve_dp_batched(U, grid, np.vstack([S0, S0]), P2)):
+            with pytest.raises(DomainError, match=f"NaN source value at slice {k}:"):
+                sweep()
+    # a one-node window slice carries the NaN alone; a NaN only at nodes
+    # outside every window is never a source value
+    w = g.with_window(Window(lo=np.array([0, 2, 0]), hi=np.array([4, 2, 4])))
+    with pytest.raises(DomainError, match="NaN source value at slice 1:"):
+        solve_dp(_nan_field(lambda x, t: (x == 0.0) & (t > 0.25)), w, None, P2)
+    tab = solve_dp(_nan_field(lambda x, t: (x == 1.0) & (t > 0.25)), w, None, P2)
+    assert np.array_equal(tab.final_values,
+                          solve_dp(zero_potential(), w, None, P2).final_values)
+    with pytest.raises(ValueError, match="is not a number") as err:
+        solve_dp(zero_potential(), one, np.array([np.nan]), P2)
+    assert not isinstance(err.value, DomainError)
+
+
+def _block_test_fields():
+    sched = glued_schedule(0.25, 5.0, K2, 1.0, 2.0, 2, cap=30.0)
+    profiles = [cosine_profile(0.5, 2.0), cosine_profile(0.3, -1.0, 0.4)]
+    return {
+        "accelerating": (accelerating_potential(0.0, 0.0, 20.0, K2, 1.0, 2.0), 0.0, 20.0),
+        # stage 2 covers (-35, -5], stage 1 (-5, 0]
+        "glued": (glued_potential(sched), -sched.S_final, 0.0),
+        "periodic-cosine": (periodic_potential(cosine_profile(1.0, 1.0), 3.0), 0.0, 20.0),
+        "periodic-constant": (periodic_potential(cosine_profile(1.0, 1.0), 3.0,
+                                                 "constant"), 0.0, 20.0),
+        "random": (random_potential(3, profiles, 1.5, 0.0, 20.0), 0.0, 20.0),
+        "constant": (constant_potential(0.7), 0.0, 20.0),
+        "zero": (zero_potential(), 0.0, 20.0),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_block_test_fields()))
+def test_block_kicks_equal_per_slice_values(kind, monkeypatch):
+    """Each row of a block evaluation is dt * U.value(x, t_k) on its slice's
+    nodes, bit for bit, for every potential kind, on ragged windows and on
+    the full grid, in one block and in many."""
+    U, t1, t2 = _block_test_fields()[kind]
+    grid = GridSpec(-12.0, 2.0, 0.25, t1, t2, (t2 - t1) / 60, 10.0)
+    rng = np.random.default_rng(11)
+    lo = rng.integers(0, grid.n_x, grid.n_steps)
+    hi = np.minimum(lo + rng.integers(0, grid.n_x, grid.n_steps), grid.n_x - 1)
+    x, times, dt = grid.nodes(), grid.times(), grid.dt_eff
+    for bounds in (list(zip(lo.tolist(), hi.tolist())), [(0, grid.n_x - 1)] * grid.n_steps):
+        want = [(dt * np.asarray(U.value(x[a:b + 1], times[k]), dtype=float)).tobytes()
+                for k, (a, b) in enumerate(bounds)]
+        for cells in (minimizer._BLOCK_CELLS, 150):
+            monkeypatch.setattr(minimizer, "_BLOCK_CELLS", cells)
+            assert [row.tobytes() for row in minimizer._kicks(U, grid, bounds)] == want
+
+
+def test_sweeps_call_the_potential_once_per_block():
+    """On a 200-slice grid both sweeps call the potential fewer times than
+    there are slices."""
+    base = accelerating_potential(0.0, 0.0, 20.0, K2, 1.0, 2.0)
+    calls = []
+
+    def counted(ts, deriv):
+        calls.append(np.shape(ts))
+        return base.slice_fn(ts, deriv)
+
+    U = PotentialField(counted, bound=1.0, support_hint=base.support_hint)
+    grid = GridSpec(-16.0, 1.0, 0.25, 0.0, 20.0, 0.1, 6.0)
+    wgrid = comoving_window(U, 2.0, grid)
+    assert grid.n_steps == 200 and wgrid.window.width().max() < grid.n_x
+    for sweep in (lambda: solve_dp(U, wgrid, None, P2),
+                  lambda: solve_dp_batched(U, grid, np.zeros((3, grid.n_x)), P2)):
+        calls.clear()
+        sweep()
+        assert 0 < len(calls) < grid.n_steps
 
 
 def test_out_of_range_target_raises():
