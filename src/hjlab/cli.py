@@ -47,8 +47,9 @@ class ConfigError(Exception):
     pass
 
 
-def _env(name, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
+def _env(flag, name):
+    """An explicit flag's value, else the HJLAB_<name> variable's (or None)."""
+    return flag if flag is not None else os.environ.get(ENV_PREFIX + name)
 
 
 def _load_config_file(path):
@@ -62,15 +63,11 @@ def _load_config_file(path):
 
 
 def _resolve_globals(args) -> dict:
-    cfg_path = args.config if args.config is not None else _env("CONFIG")
-    file_cfg = _load_config_file(cfg_path)
-    out = dict(file_cfg)
-    out_dir = args.out_dir if args.out_dir is not None else _env("OUT_DIR")
-    if out_dir is not None:
-        out["out_dir"] = out_dir
-    profile = args.profile if args.profile is not None else _env("PROFILE")
-    if profile is not None:
-        out["profile"] = profile
+    out = dict(_load_config_file(_env(args.config, "CONFIG")))
+    for key in ("out_dir", "profile"):
+        value = _env(getattr(args, key), key.upper())
+        if value is not None:
+            out[key] = value
     return out
 
 
@@ -209,6 +206,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_experiment(kind, args) -> int:
     merged = _resolve_globals(args)
     merged.pop("potential", None)
+    out_dir = merged.pop("out_dir", "out")
     merged["kind"] = kind
     if getattr(args, "horizons", None):
         merged["horizons"] = [float(x) for x in args.horizons.split(",")]
@@ -219,7 +217,7 @@ def _cmd_experiment(kind, args) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
     report = run_experiment(cfg)
-    paths = emit(report, out_dir=cfg.out_dir)
+    paths = emit(report, out_dir)
     hard = HARD_FLAGS[kind]
     failed = [name for name in hard if report.flags.get(name) is False]
     for name in hard:
@@ -307,13 +305,10 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except (DomainError, WindowTouchError) as e:
+    except (DomainError, WindowTouchError) as e:   # DomainError is a ValueError
         print(f"run failed: {e}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as e:
+    except (ConfigError, ValueError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

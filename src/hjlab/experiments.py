@@ -55,23 +55,13 @@ class ExperimentConfig:
     profile: str = "ci"
     horizons: Optional[list] = None
     seeds: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
-    out_dir: str = "out"
 
-    # grid policy
-    dx_max: float = 0.05
-    rt_fraction: int = 40          # dx = min(dx_max, R_T / rt_fraction)
+    # grid policy; the rest is fixed, as the module constants below
     stencil: int = 30              # v_max * dt / dx
     margin: float = 10.0
-    v_cap_factor: float = 4.0      # v_max = v_cap_factor * K2 (log T)^(2/beta)
-    detach_cap_factor: float = 4.0  # window cone depth factor * (log T)^2
-    refine_passes: int = 8
-    n_targets: int = 5
-    s_window_max: float = 0.5
 
     # glued-demo schedule
     glue_Tbar: float = 5.0
-    glue_cap: float = 600.0
-    glue_epsilon: float = 0.25
     glue_n_max: int = 2
 
     # periodic / random controls
@@ -79,8 +69,6 @@ class ExperimentConfig:
     wavenumber: float = 1.0
     modulation: str = "cosine"
     correlation_time: float = 2.0
-    n_profiles: int = 3
-    periodic_targets: list = field(default_factory=lambda: [0.5, 1.5, 2.5])
 
     def __post_init__(self):
         if self.kind not in EXPERIMENTS:
@@ -173,6 +161,16 @@ class ScalingReport:
                    notes=d["notes"], version=d["version"])
 
 
+# The fixed grid and measurement policy; each comment names its readers
+V_CAP_FACTOR = 4.0        # edge_grid: v_max = V_CAP_FACTOR * K2 (log T)^(2/beta)
+DETACH_CAP_FACTOR = 4.0   # edge_grid: window cone depth DETACH_CAP_FACTOR * (log T)^2
+REFINE_PASSES = 8         # _horizon_record: refine passes per backtracked path
+DX_MAX = 0.05             # every pipeline's dx (2 * DX_MAX: operator suite, probe)
+RT_FRACTION = 40          # scaling: dx = min(DX_MAX, R_T / RT_FRACTION)
+N_TARGETS = 5             # scaling and glued targets across |x| <= R_T / 2
+S_WINDOW_MAX = 0.5        # every pipeline: longest terminal-speed window
+
+
 def edge_grid(cfg: ExperimentConfig, U, t1: float, t2: float, T_pace: float,
               dx: float, x_hi: float, margin: float) -> GridSpec:
     """Grid on [t1, t2] with a co-moving window riding the edge of U.
@@ -182,12 +180,12 @@ def edge_grid(cfg: ExperimentConfig, U, t1: float, t2: float, T_pace: float,
     where the retreating edge lies lowest."""
     p = cfg.params
     K2 = velocity_bound_lower(T_pace, p).K2
-    v_max = max(cfg.v_cap_factor * K2 * math.log(T_pace) ** (2.0 / cfg.beta),
+    v_max = max(V_CAP_FACTOR * K2 * math.log(T_pace) ** (2.0 / cfg.beta),
                 2.0 * (p.C * p.beta) ** (1.0 / p.beta), 2.0)
     dt = cfg.stencil * dx / v_max
     grid = GridSpec(x_min=float(U.support_hint(t1)[1]) - margin - 2.0,
                     x_max=x_hi, dx=dx, t1=t1, t2=t2, dt=dt, v_max=v_max)
-    cap = max(40.0, cfg.detach_cap_factor * math.log(T_pace) ** 2)
+    cap = max(40.0, DETACH_CAP_FACTOR * math.log(T_pace) ** 2)
     return comoving_window(U, margin, grid, detach_cap=cap)
 
 
@@ -226,7 +224,7 @@ def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
     wT_margins, prog_margins, prog_pairs = [], [], 0
     for xt in x_targets:
         traj = _backtrack_inside(table, float(xt))
-        traj = refine(traj, U, p, passes=cfg.refine_passes)
+        traj = refine(traj, U, p, passes=REFINE_PASSES)
         tv = terminal_velocity(traj, s_window, p)
         speeds.append(float(tv.speed))
         lows.append(float(tv.lo))
@@ -254,14 +252,14 @@ def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
 
 def _scaling_record(cfg: ExperimentConfig, T: float) -> HorizonRecord:
     lb = velocity_bound_lower(T, cfg.params)
-    x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, cfg.n_targets)
+    x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, N_TARGETS)
     U = accelerating_potential(y=0.0, t1=0.0, t2=T, K=lb.K2, C=cfg.C, beta=cfg.beta)
-    s_window = min(cfg.s_window_max, T / 20.0)
-    dx = min(cfg.dx_max, lb.R_T / cfg.rt_fraction)
+    s_window = min(S_WINDOW_MAX, T / 20.0)
+    dx = min(DX_MAX, lb.R_T / RT_FRACTION)
     x_hi = float(max(x_targets.max() + 2 * dx, lb.R_T))
     # the final slice's window starts near -margin: the first attempt holds
     # the lowest target plus the bump's ramp (2 wide) and two cells to spare
-    margin = max(cfg.margin, -float(x_targets.min()) + 2.0 + 2.0 * cfg.dx_max)
+    margin = max(cfg.margin, -float(x_targets.min()) + 2.0 + 2.0 * DX_MAX)
     # window-touch certification: move timing is degenerate in the flat
     # potential plateau, so trajectories may park below the riding band;
     # enlarge the margin and resolve when the certificate trips
@@ -348,17 +346,19 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingReport:
                          wall_times=walls)
 
 
+PERIODIC_TARGETS = (0.5, 1.5, 2.5)
+
+
 def _periodic_grid(cfg: ExperimentConfig, T: float):
     p = cfg.params
-    x_targets = np.array(cfg.periodic_targets, dtype=float)
+    x_targets = np.array(PERIODIC_TARGETS)
     halo = 4.0 * math.pi / abs(cfg.wavenumber) + 2.0
     v_env = (p.alpha * p.C) ** (1.0 / p.beta)
     v_max = max(4.0 * v_env, 2.0)
-    dx = cfg.dx_max
-    dt = cfg.stencil * dx / v_max
+    dt = cfg.stencil * DX_MAX / v_max
     grid = GridSpec(x_min=float(x_targets.min() - halo),
                     x_max=float(x_targets.max() + halo),
-                    dx=dx, t1=0.0, t2=T, dt=dt, v_max=v_max)
+                    dx=DX_MAX, t1=0.0, t2=T, dt=dt, v_max=v_max)
     return grid, x_targets
 
 
@@ -374,7 +374,7 @@ def run_periodic_control(cfg: ExperimentConfig) -> ScalingReport:
     def one(T):
         grid, x_targets = _periodic_grid(cfg, T)
         return _horizon_record(cfg, T, U, grid, x_targets,
-                               min(cfg.s_window_max, T / 20.0))
+                               min(S_WINDOW_MAX, T / 20.0))
 
     recs, walls = _map_timed(one, cfg.horizons)
     records = [r.to_dict() for r in recs]
@@ -406,7 +406,7 @@ def _operator_regularity_suite(cfg: ExperimentConfig, U):
     p = cfg.params
     halo = 4.0 * math.pi / abs(cfg.wavenumber) + 2.0
     v_max = 4.0 * (p.alpha * p.C) ** (1.0 / p.beta)
-    dx = 2 * cfg.dx_max
+    dx = 2 * DX_MAX
     grid = GridSpec(x_min=-halo, x_max=halo, dx=dx, t1=0.0, t2=cfg.period,
                     dt=cfg.stencil * dx / v_max, v_max=v_max)
     kern = kernel(U, 0.0, cfg.period, grid, p)
@@ -433,6 +433,10 @@ def _operator_regularity_suite(cfg: ExperimentConfig, U):
                         f"max L-constant {max(consts):.4f} <= {lip_bound:.4f}")}
 
 
+GLUE_EPSILON = 0.25
+GLUE_CAP = 600.0     # caps every stage horizon: a mechanism demo, not asymptotics
+
+
 def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
     """Capped-schedule gluing demonstration.
 
@@ -444,13 +448,13 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         raise ValueError("config kind must be 'glued-demo'")
     p = cfg.params
     K2 = velocity_bound_lower(math.e, p).K2   # K2 does not depend on T
-    full = glued_schedule(cfg.glue_epsilon, cfg.glue_Tbar, K2, cfg.C, cfg.beta,
-                          cfg.glue_n_max, cap=cfg.glue_cap)
+    full = glued_schedule(GLUE_EPSILON, cfg.glue_Tbar, K2, cfg.C, cfg.beta,
+                          cfg.glue_n_max, cap=GLUE_CAP)
     rng = np.random.default_rng(0)   # drawn stage after stage: keep serial
 
     def stage(n):
-        sched = glued_schedule(cfg.glue_epsilon, cfg.glue_Tbar, K2, cfg.C,
-                               cfg.beta, n, cap=cfg.glue_cap)
+        sched = glued_schedule(GLUE_EPSILON, cfg.glue_Tbar, K2, cfg.C,
+                               cfg.beta, n, cap=GLUE_CAP)
         U = glued_potential(sched)
         T_top = sched.stages[-1][0]
         S_n = sched.S_final
@@ -458,14 +462,13 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         # log T_pace > 1 on a short top stage
         T_pace = max(T_top, 3.0)
         lbtop = velocity_bound_lower(T_pace, p)
-        x_targets = np.linspace(-lbtop.R_T / 2.0, lbtop.R_T / 2.0, cfg.n_targets)
-        dx = cfg.dx_max
-        wgrid = edge_grid(cfg, U, -S_n, 0.0, T_pace, dx,
-                          float(max(x_targets.max() + 2 * dx, lbtop.R_T)),
+        x_targets = np.linspace(-lbtop.R_T / 2.0, lbtop.R_T / 2.0, N_TARGETS)
+        wgrid = edge_grid(cfg, U, -S_n, 0.0, T_pace, DX_MAX,
+                          float(max(x_targets.max() + 2 * DX_MAX, lbtop.R_T)),
                           cfg.margin)
         # a short first stage (glue_Tbar 2 or 4 at the CI grid) would ask for
         # a window below one time step: floor it there
-        s_window = max(min(cfg.s_window_max, sched.stages[0][0] / 10.0),
+        s_window = max(min(S_WINDOW_MAX, sched.stages[0][0] / 10.0),
                        wgrid.dt_eff)
         rec = _horizon_record(
             cfg, float(S_n), U, wgrid, x_targets, s_window,
@@ -643,6 +646,9 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
                          notes=[f"calibrated s2 margin constant: {mbar}"])
 
 
+N_PROFILES = 3
+
+
 def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
     """Random-potential probe: growth vs plateau of v(T); exploratory only."""
     if cfg.kind != "conjecture-probe":
@@ -654,17 +660,17 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
     def seed_records(seed):
         rng = np.random.default_rng(seed)
         profiles = [cosine_profile(1.0, rng.uniform(0.3, 2.0), rng.uniform(0, 6.28))
-                    for _ in range(cfg.n_profiles)]
+                    for _ in range(N_PROFILES)]
         U = random_potential(seed, profiles, cfg.correlation_time,
                              t_min=-T_max, t_max=0.0, C=cfg.C, beta=cfg.beta)
         x_targets = np.array([0.0, 1.0, 2.0])
         records = []
         for T in cfg.horizons:
             v_max = 6.0
-            dx = cfg.dx_max * 2
+            dx = DX_MAX * 2
             grid = GridSpec(x_min=-14.0, x_max=14.0, dx=dx, t1=-T, t2=0.0,
                             dt=cfg.stencil * dx / v_max, v_max=v_max)
-            s_window = min(cfg.s_window_max, T / 20.0)
+            s_window = min(S_WINDOW_MAX, T / 20.0)
             records.append(_horizon_record(cfg, T, U, grid, x_targets, s_window,
                                            seed=seed).to_dict())
         return records

@@ -282,8 +282,8 @@ def accelerating_potential(y: float, t1: float, t2: float, K: float, C: float,
     )
 
 
-class ScheduleOverflowError(OverflowError):
-    """Uncapped glued schedule left the desk-scale feasible range."""
+class ScheduleOverflowError(OverflowError, ValueError):
+    """Uncapped glued schedule past the feasible range: an invalid spec."""
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,7 @@ def _svg_doc(body: Iterable[str]) -> str:
     return head + "".join(body) + "</svg>\n"
 
 
-def emit(report: ScalingReport, out_dir: Optional[str] = None,
-         stem: Optional[str] = None) -> dict:
+def emit(report: ScalingReport, out_dir: str, stem: Optional[str] = None) -> dict:
     """Write the report files; returns {format: path}.
 
     JSON carries the full canonical record (config, records, fit, flags);
@@ -141,7 +140,6 @@ def emit(report: ScalingReport, out_dir: Optional[str] = None,
     timings, when present, go to <stem>_timings.json, which is excluded from
     the byte-determinism guarantee.
     """
-    out_dir = out_dir or report.config.get("out_dir", "out")
     stem = stem or report.kind
     os.makedirs(out_dir, exist_ok=True)
     paths = {}

@@ -13,25 +13,19 @@ def params2():
 
 
 @pytest.fixture(scope="session")
-def scaling_report(tmp_path_factory):
+def scaling_report():
     """CI-profile scaling run, shared by experiment tests and acceptance."""
-    out = str(tmp_path_factory.mktemp("scaling"))
-    cfg = ExperimentConfig(kind="scaling", out_dir=out)
-    return run_scaling(cfg)
+    return run_scaling(ExperimentConfig(kind="scaling"))
 
 
 @pytest.fixture(scope="session")
-def periodic_report(tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("periodic"))
-    cfg = ExperimentConfig(kind="periodic-control", out_dir=out)
-    return run_periodic_control(cfg)
+def periodic_report():
+    return run_periodic_control(ExperimentConfig(kind="periodic-control"))
 
 
 @pytest.fixture(scope="session")
-def glued_report(tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("glued"))
-    cfg = ExperimentConfig(kind="glued-demo", out_dir=out)
-    return run_glued_demo(cfg)
+def glued_report():
+    return run_glued_demo(ExperimentConfig(kind="glued-demo"))
 
 
 @pytest.fixture(scope="session")

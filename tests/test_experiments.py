@@ -12,10 +12,10 @@ import pytest
 from hjlab import reports
 from hjlab.cli import main as cli_main
 from hjlab.core import ModelParams
-from hjlab.experiments import (EXPERIMENTS, ExperimentConfig, HorizonRecord,
-                               ScalingReport, _horizon_record, edge_grid,
-                               run_conjecture_probe, run_glued_demo,
-                               run_lemma_suite, run_scaling)
+from hjlab.experiments import (DX_MAX, EXPERIMENTS, N_TARGETS, RT_FRACTION,
+                               ExperimentConfig, HorizonRecord, ScalingReport,
+                               _horizon_record, edge_grid, run_conjecture_probe,
+                               run_glued_demo, run_lemma_suite, run_scaling)
 from hjlab.laxoleinik import GridFunction, gridfunction_to_csv
 from hjlab.minimizer import DomainError, GridSpec, velocity_bound_lower
 from hjlab.potentials import (accelerating_potential, glued_potential,
@@ -24,10 +24,9 @@ from hjlab.reports import canonical_json, emit, report_csv, report_svg
 
 
 def _report_digest(report) -> dict:
-    """SHA-256 of a report's canonical JSON (without out_dir) and its CSV."""
-    d = report.to_dict()
-    d["config"] = {k: v for k, v in d["config"].items() if k != "out_dir"}
-    return {"json": hashlib.sha256(canonical_json(d).encode()).hexdigest(),
+    """SHA-256 of a report's canonical JSON and its CSV."""
+    text = canonical_json(report.to_dict())
+    return {"json": hashlib.sha256(text.encode()).hexdigest(),
             "csv": hashlib.sha256(report_csv(report).encode()).hexdigest()}
 
 
@@ -140,8 +139,8 @@ def test_glued_stage1_is_plain_scaling_run():
     lb = velocity_bound_lower(50.0, cfg.params)
     glued = glued_potential(glued_schedule(0.25, 50.0, lb.K2, 1.0, 2.0, 1))
     accel = accelerating_potential(0.0, -50.0, 0.0, lb.K2, 1.0, 2.0)
-    x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, cfg.n_targets)
-    dx = min(cfg.dx_max, lb.R_T / cfg.rt_fraction)
+    x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, N_TARGETS)
+    dx = min(DX_MAX, lb.R_T / RT_FRACTION)
     x_hi = float(max(x_targets.max() + 2 * dx, lb.R_T))
     grids = [edge_grid(cfg, U, -50.0, 0.0, 50.0, dx, x_hi, cfg.margin)
              for U in (glued, accel)]
@@ -154,19 +153,15 @@ def test_glued_stage1_is_plain_scaling_run():
     assert min(recs[0]["speeds"]) > 3.0
 
 
-def test_conjecture_probe_deterministic(tmp_path):
-    cfg1 = ExperimentConfig(kind="conjecture-probe", out_dir=str(tmp_path / "a"),
-                            horizons=[20.0, 50.0], seeds=[1, 2, 3, 4, 5])
-    cfg2 = ExperimentConfig(kind="conjecture-probe", out_dir=str(tmp_path / "b"),
-                            horizons=[20.0, 50.0], seeds=[1, 2, 3, 4, 5])
-    r1 = run_conjecture_probe(cfg1)
-    r2 = run_conjecture_probe(cfg2)
-    d1, d2 = r1.to_dict(), r2.to_dict()
-    d1["config"].pop("out_dir"), d2["config"].pop("out_dir")
-    assert canonical_json(d1) == canonical_json(d2)
+def test_conjecture_probe_deterministic():
+    cfg = ExperimentConfig(kind="conjecture-probe", horizons=[20.0, 50.0],
+                           seeds=[1, 2, 3, 4, 5])
+    r1 = run_conjecture_probe(cfg)
+    r2 = run_conjecture_probe(cfg)
+    assert canonical_json(r1.to_dict()) == canonical_json(r2.to_dict())
     # pinned bytes of the probe's horizon records (see test_scaling_golden_digest)
     assert _report_digest(r1) == {
-        "json": "19069d8c283f0a3821fb2c29fb18543620be8ac34bea4e7cf6cac9f09df6489d",
+        "json": "a21f9f6613eccbbbac91b2a87549f91b651f7813163c70fb3bc12f771acacdce",
         "csv": "298ffa067bc736352ca781b67ecdd4f2efa477e52f2f0edc4bca21dba191d2ed"}
     with pytest.raises(ValueError):
         run_conjecture_probe(ExperimentConfig(kind="conjecture-probe",
@@ -224,23 +219,16 @@ def test_probe_degenerate_single_profile_matches_periodic_construction():
     assert np.allclose(frozen, prof.value(xs) * m, atol=1e-9)
 
 
-def test_scaling_golden_digest(tmp_path):
+def test_scaling_golden_digest():
     """A one-horizon CI-profile scaling run reproduces pinned bytes, so any
     drift in DP values, offset tie-breaks, refined positions or report
     fields across commits shows here (determinism tests only compare reruns
     of one build).  The digests were recorded with numpy 2.4 / scipy 1.17 on
     x86-64; another libm or numpy build may round the pow, log and
     incomplete-gamma calls differently and would need its own pin."""
-    import hashlib
-
-    report = run_scaling(ExperimentConfig(kind="scaling", horizons=[50.0],
-                                          out_dir=str(tmp_path)))
-    d = report.to_dict()
-    d["config"] = {k: v for k, v in d["config"].items() if k != "out_dir"}
-    digest = {"json": hashlib.sha256(canonical_json(d).encode()).hexdigest(),
-              "csv": hashlib.sha256(report_csv(report).encode()).hexdigest()}
-    assert digest == {
-        "json": "5dcf8837504301e88146fc6c33f911434faa23cb9a626d51d58bf5143e74d830",
+    report = run_scaling(ExperimentConfig(kind="scaling", horizons=[50.0]))
+    assert _report_digest(report) == {
+        "json": "6f700f13688c4dcb9a171dc089f2646f3fee645c5d0141d728f7cee45f837515",
         "csv": "39c3c5b8250c2dd44291eba44afd967f69e5102008d5636633868d514d735be8"}
 
 
@@ -250,7 +238,7 @@ def test_scaling_ci_golden_digest(scaling_report):
     (windows up to 6 657 nodes at T = 1000) and refine's largest arrays;
     same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(scaling_report) == {
-        "json": "85ada9970d90dd273ff68f042c76c7df2637349c0ebece16fb3071e9d5400bf1",
+        "json": "271020023842290886ebc35e15fca93af04187e9019d79f1ce83f9b3b4ad6164",
         "csv": "f363bf4e4fbfb17148dbb0df6d43ba1fadb6a66a99da78620d37ee8c7480ded6"}
 
 
@@ -258,7 +246,7 @@ def test_periodic_golden_digest(periodic_report):
     """Pinned CI-profile periodic-control bytes (horizon records and the
     operator suite); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(periodic_report) == {
-        "json": "518e5f55254d5f4410e962c307dfe681e8d075eb60b37984de755bd6cbc480bd",
+        "json": "684ab900d772effdcd7713d566ef68a462f41743567a5dab89e0af805bc9528c",
         "csv": "9b2e9918764cc826ae055db69b39e6563a3a0c7e58bc36291ab7b9ff1d46b235"}
 
 
@@ -266,12 +254,12 @@ def test_glued_golden_digest(glued_report):
     """Pinned CI-profile glued-demo bytes (per-stage records, continuity
     note); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(glued_report) == {
-        "json": "9e47648e4d44029d46631cb1414fc547fd77f985e9b2243874f73b9c5488d303",
+        "json": "3da4ad1f5b2c47ff19e9400f99658990dbaa97dd289db6151d8538b9468e2805",
         "csv": "cb5615e6ebcb4bb6aba02883cdb4d63306c386552ec6a48470d3804c52c38f4c"}
 
 
 def test_lemma_suite_emit_deterministic(tmp_path):
-    cfg = ExperimentConfig(kind="lemma-suite", out_dir=str(tmp_path / "x"))
+    cfg = ExperimentConfig(kind="lemma-suite")
     r1 = run_lemma_suite(cfg)
     r2 = run_lemma_suite(cfg)
     p1 = emit(r1, out_dir=str(tmp_path / "x1"))
@@ -363,6 +351,56 @@ def test_cli_exit_codes(tmp_path):
     cfgfile.write_text(json.dumps({"margin": 0}))
     assert cli_main(["scaling", "--horizons", "50", "--config", str(cfgfile),
                      "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_deleted_config_key_exit_2(tmp_path, capsys):
+    """The grid policy is fixed in hjlab.experiments: a config file that sets
+    one of its former keys, even to the constant's own value, is a
+    configuration error that names the key, and no report is written."""
+    deleted = {"dx_max": 0.025, "rt_fraction": 40, "v_cap_factor": 4.0,
+               "detach_cap_factor": 4.0, "refine_passes": 8, "n_targets": 5,
+               "s_window_max": 0.5, "glue_cap": 600.0, "glue_epsilon": 0.25,
+               "n_profiles": 3, "periodic_targets": [0.5, 1.5, 2.5]}
+    cfgfile = tmp_path / "old.json"
+    for key, value in deleted.items():
+        cfgfile.write_text(json.dumps({key: value}))
+        out = tmp_path / key
+        assert cli_main(["scaling", "--horizons", "50", "--config", str(cfgfile),
+                         "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and repr(key) in err
+        assert not out.exists()
+
+
+def test_cli_uncapped_schedule_exit_2(tmp_path, capsys):
+    """An uncapped glued schedule past the feasible horizon is a one-line
+    configuration error, from `hjlab potential` and from a hand-written spec
+    that minimize, kernel and evolve load."""
+    flags = ["--kind", "glued", "--epsilon", "0.25", "--Tbar", "5", "--K", "0.6",
+             "--C", "1", "--beta", "2", "--n-max", "3"]
+    out = tmp_path / "pot.json"
+    assert cli_main(["potential"] + flags + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "supply a cap" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+    pot = tmp_path / "hand.json"
+    pot.write_text(json.dumps({"kind": "glued", "beta": 2.0, "C": 1.0, "K": 0.6,
+                               "epsilon": 0.25, "Tbar": 5.0, "n_max": 3}))
+    initial = tmp_path / "s.csv"
+    initial.write_text(gridfunction_to_csv(GridFunction(np.linspace(0.0, 2.0, 9),
+                                                        np.zeros(9))))
+    extra = {"minimize": ["--x", "1", "--dx", "0.25", "--dt", "0.125"],
+             "kernel": ["--x-min", "0", "--x-max", "2", "--dx", "0.25",
+                        "--dt", "0.125"],
+             "evolve": ["--initial", str(initial)]}
+    for cmd, args in extra.items():
+        assert cli_main([cmd, "--potential", str(pot), "--t1", "0", "--t2", "1",
+                         "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot load potential {pot}")
+        assert "supply a cap" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_cli_zero_wavenumber_exit_2(tmp_path, capsys):
@@ -478,7 +516,7 @@ def test_cli_failed_runs_exit_1(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_glued_targets_and_grid_share_the_pace_horizon(tmp_path, monkeypatch):
+def test_glued_targets_and_grid_share_the_pace_horizon(monkeypatch):
     """A top stage shorter than e is paced at one floored T_pace: the
     targets span +-R_T/2 of the T_pace that edge_grid receives."""
     import hjlab.experiments
@@ -492,7 +530,7 @@ def test_glued_targets_and_grid_share_the_pace_horizon(tmp_path, monkeypatch):
     monkeypatch.setattr(hjlab.experiments, "edge_grid", spy)
     # stencil 5 keeps dt under the stage's 0.2 speed window
     cfg = ExperimentConfig(kind="glued-demo", glue_Tbar=2.0, glue_n_max=1,
-                           stencil=5, out_dir=str(tmp_path))
+                           stencil=5)
     (rec,) = run_glued_demo(cfg).records
     assert rec["extra"]["T_stage"] == 2.0 and paces == [3.0]
     assert max(rec["targets"]) == velocity_bound_lower(3.0, cfg.params).R_T / 2.0
@@ -512,10 +550,10 @@ def test_cli_glued_demo_short_first_stage(tmp_path, capsys, Tbar):
     assert rec["s_window"] == rec["dt"] > Tbar / 10.0
 
 
-def test_scaling_first_margin_holds_lowest_target(tmp_path, monkeypatch):
+def test_scaling_first_margin_holds_lowest_target(monkeypatch):
     """At T = 60 the final slice starts near -margin and the lowest target
     is -R_T/2 = -0.65.  A configured margin of 0.1 is raised at once to hold
-    that target plus the bump's ramp (2) and two cells (2 dx_max), and the
+    that target plus the bump's ramp (2) and two cells (2 DX_MAX), and the
     speeds equal those of the default margin-10 run within grid_slack."""
     import hjlab.experiments
 
@@ -528,11 +566,10 @@ def test_scaling_first_margin_holds_lowest_target(tmp_path, monkeypatch):
     monkeypatch.setattr(hjlab.experiments, "edge_grid", spy)
     recs = {}
     for margin in (0.1, 10.0):
-        cfg = ExperimentConfig(kind="scaling", horizons=[60.0], margin=margin,
-                               out_dir=str(tmp_path / str(margin)))
+        cfg = ExperimentConfig(kind="scaling", horizons=[60.0], margin=margin)
         (recs[margin],) = run_scaling(cfg).records
     R_T = velocity_bound_lower(60.0, cfg.params).R_T
-    assert margins == [pytest.approx(R_T / 2.0 + 2.0 + 2.0 * cfg.dx_max), 10.0]
+    assert margins == [pytest.approx(R_T / 2.0 + 2.0 + 2.0 * DX_MAX), 10.0]
     sized, wide = recs[0.1], recs[10.0]
     assert min(sized["targets"]) < -0.6
     assert all(abs(a - b) <= wide["grid_slack"]
@@ -618,16 +655,26 @@ def test_cli_minimize_clipped_path_fails(tmp_path, capsys):
 
 
 def test_cli_check_lemmas_and_env_override(tmp_path, monkeypatch):
+    out_file = tmp_path / "fileout"
+    cfgfile = tmp_path / "out.json"
+    cfgfile.write_text(json.dumps({"out_dir": str(out_file)}))
+    monkeypatch.delenv("HJLAB_OUT_DIR", raising=False)
+    assert cli_main(["check-lemmas", "--config", str(cfgfile)]) == 0
+    # the environment beats the config file
     out_env = tmp_path / "envout"
     monkeypatch.setenv("HJLAB_OUT_DIR", str(out_env))
-    rc = cli_main(["check-lemmas"])
+    rc = cli_main(["check-lemmas", "--config", str(cfgfile)])
     assert rc == 0
-    assert (out_env / "lemma-suite.json").exists()
     # explicit flag beats the environment
     out_flag = tmp_path / "flagout"
     rc = cli_main(["check-lemmas", "--out-dir", str(out_flag)])
     assert rc == 0
-    assert (out_flag / "lemma-suite.json").exists()
+    # where a report is written is not part of it: one config, three
+    # directories, identical bytes
+    written = [(d / "lemma-suite.json").read_bytes()
+               for d in (out_file, out_env, out_flag)]
+    assert written[0] == written[1] == written[2]
+    assert "out_dir" not in json.loads(written[0])["config"]
 
 
 def test_cli_scaling_with_horizon_flag(tmp_path, capsys):

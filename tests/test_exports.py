@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 
 import hjlab
 from hjlab.cli import build_parser
+from hjlab.experiments import ExperimentConfig
 
 
 def test_every_export_resolves():
@@ -135,15 +137,29 @@ def test_import_budget_excludes_heavy_scipy():
     assert abs(closed - quad) <= 1e-8 * abs(closed)
 
 
+def _readme() -> str:
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "README.md")
+    with open(path) as f:
+        return f.read()
+
+
 def test_readme_documents_every_command():
     """README's "Command line" block shows one `hjlab <cmd>` line per
     subcommand, in the parser's order, so a new command cannot ship
     undocumented."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                        "README.md")
-    with open(path) as f:
-        block = f.read().split("## Command line", 1)[1].split("```")[1]
+    block = _readme().split("## Command line", 1)[1].split("```")[1]
     documented = re.findall(r"^hjlab (\S+)", block, re.MULTILINE)
     (sub,) = [a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
     assert documented == list(sub.choices)
+
+
+def test_readme_documents_every_config_key():
+    """README's config-file table lists the fields of ExperimentConfig, in
+    order, then the CLI-level `out_dir`, so a new knob cannot ship
+    undocumented."""
+    block = _readme().split("### Config file", 1)[1].split("\n\n", 3)[2]
+    documented = re.findall(r"^\| `(\w+)` \|", block, re.MULTILINE)
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert documented == fields + ["out_dir"]

@@ -54,8 +54,9 @@ def test_pace_examples():
 
 
 def test_pace_value_scalar_path_equals_array_path():
-    """A Python or numpy float takes the scalar path of PaceCurve.value; it
-    gives the array path's bits, and its range errors, on every input."""
+    """PaceCurve.value has one path for scalars and arrays: a Python float,
+    a numpy float or a 0-d array gets the array's bits as a Python float,
+    and the same range errors, on every input."""
     rng = np.random.default_rng(5)
     for K, T, beta in ((0.63, 50.0, 2.0), (1.3, 1000.0, 1.5), (0.9, 1e4, 3.0),
                        (0.5, 60.0, 1.25)):
