@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands build potentials, compute single minimizers and kernels, apply
-the solution operator, and run the batch experiments.  Global flags can also
-be supplied through environment variables with the HJLAB_ prefix
-(HJLAB_CONFIG, HJLAB_OUT_DIR, HJLAB_PROFILE); explicit flags
-win over the environment, which wins over the config file.
+the solution operator, and run the batch experiments.  Each subcommand takes
+only the flags its handler reads: `--config` (or HJLAB_CONFIG) on `potential`
+and the experiments, `--out-dir` (or HJLAB_OUT_DIR, or the config file's
+`out_dir`) on the experiments, `--horizons` on the experiments with default
+horizons and `--seeds` on `conjecture-probe`.  Explicit flags win over the
+environment, which wins over the config file.  `minimize`, `kernel` and
+`evolve` share their potential, time, speed-cap and output flags.
 
 Exit codes: 0 all hard assertions pass, 1 assertion failure or failed run
 (a domain that misses the potential, a trajectory that touches its window),
@@ -22,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .core import ModelParams
-from .experiments import (EXPERIMENTS, ExperimentConfig, _backtrack_inside,
-                          run_experiment)
+from .experiments import (EXPERIMENTS, REFINE_PASSES, ExperimentConfig,
+                          _backtrack_inside, run_experiment)
 from .laxoleinik import (gridfunction_from_csv, gridfunction_to_csv, kernel,
                          kernel_to_csv, minplus_apply)
 from .minimizer import (DomainError, GridSpec, WindowTouchError, refine,
@@ -47,39 +50,30 @@ class ConfigError(Exception):
     pass
 
 
-def _env(flag, name):
-    """An explicit flag's value, else the HJLAB_<name> variable's (or None)."""
-    return flag if flag is not None else os.environ.get(ENV_PREFIX + name)
+def _env(flag, name, default=None):
+    """An explicit flag's value, else the HJLAB_<name> variable's, else default."""
+    return flag if flag is not None else os.environ.get(ENV_PREFIX + name, default)
 
 
-def _load_config_file(path):
+def _load_config(args) -> dict:
+    """The JSON object in the --config (or HJLAB_CONFIG) file; {} without one."""
+    path = _env(args.config, "CONFIG")
     if path is None:
         return {}
     try:
         with open(path) as f:
-            return json.load(f)
+            config = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
-
-
-def _resolve_globals(args) -> dict:
-    out = dict(_load_config_file(_env(args.config, "CONFIG")))
-    for key in ("out_dir", "profile"):
-        value = _env(getattr(args, key), key.upper())
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def _add_globals(sp):
-    sp.add_argument("--config", help="JSON config file", default=None)
-    sp.add_argument("--out-dir", help="output directory", default=None)
-    sp.add_argument("--profile", choices=["ci", "large"], default=None)
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {config!r}")
+    return config
 
 
 def _cmd_potential(args) -> int:
-    merged = _resolve_globals(args)
-    spec = dict(merged.get("potential", {}))
+    spec = _load_config(args).get("potential", {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key 'potential' must be an object, got {spec!r}")
     for key in _SPEC_FLAGS:
         v = getattr(args, key)
         if v is not None:
@@ -157,9 +151,7 @@ def _cmd_minimize(args) -> int:
     grid = GridSpec(x_min=x_lo, x_max=x_hi, dx=args.dx, t1=args.t1,
                     t2=args.t2, dt=args.dt, v_max=v_max)
     table = solve_dp(U, grid, None, p)
-    traj = _backtrack_inside(table, args.x)
-    if args.refine_passes:
-        traj = refine(traj, U, p, passes=args.refine_passes)
+    traj = refine(_backtrack_inside(table, args.x), U, p, passes=REFINE_PASSES)
     text = _trajectory_csv(traj)
     with open(args.out, "w") as f:
         f.write(text)
@@ -204,9 +196,11 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_experiment(kind, args) -> int:
-    merged = _resolve_globals(args)
+    merged = _load_config(args)
     merged.pop("potential", None)
-    out_dir = merged.pop("out_dir", "out")
+    out_dir = _env(args.out_dir, "OUT_DIR", merged.pop("out_dir", "out"))
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"config key 'out_dir' must be a string, got {out_dir!r}")
     merged["kind"] = kind
     if getattr(args, "horizons", None):
         merged["horizons"] = [float(x) for x in args.horizons.split(",")]
@@ -229,6 +223,16 @@ def _cmd_experiment(kind, args) -> int:
     return 1 if failed else 0
 
 
+def _add_run_flags(sp, dt_required):
+    """The flags minimize, kernel and evolve share; evolve can derive --dt."""
+    sp.add_argument("--potential", required=True)
+    sp.add_argument("--t1", type=float, required=True)
+    sp.add_argument("--t2", type=float, required=True)
+    sp.add_argument("--dt", type=float, required=dt_required)
+    sp.add_argument("--v-max", dest="v_max", type=float)
+    sp.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hjlab",
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("potential", help="build and serialize a potential spec")
-    _add_globals(sp)
+    sp.add_argument("--config", help="JSON config file; its `potential` key is the spec")
     for key, typ in _SPEC_FLAGS.items():
         sp.add_argument("--" + key.replace("_", "-"), type=typ, help=(
             "zero|constant|accelerating|glued|periodic|random"
@@ -247,50 +251,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_potential)
 
     sp = sub.add_parser("minimize", help="compute one free-endpoint minimizer")
-    _add_globals(sp)
-    sp.add_argument("--potential", required=True)
+    _add_run_flags(sp, dt_required=True)
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--t2", type=float, required=True)
     sp.add_argument("--dx", type=float, required=True)
-    sp.add_argument("--dt", type=float, required=True)
     sp.add_argument("--x-min", dest="x_min", type=float)
     sp.add_argument("--x-max", dest="x_max", type=float)
-    sp.add_argument("--v-max", dest="v_max", type=float)
-    sp.add_argument("--refine-passes", dest="refine_passes", type=int, default=6)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_minimize)
 
     sp = sub.add_parser("kernel", help="compute an action kernel as CSV")
-    _add_globals(sp)
-    sp.add_argument("--potential", required=True)
-    sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--t2", type=float, required=True)
+    _add_run_flags(sp, dt_required=True)
     sp.add_argument("--x-min", dest="x_min", type=float, required=True)
     sp.add_argument("--x-max", dest="x_max", type=float, required=True)
     sp.add_argument("--dx", type=float, required=True)
-    sp.add_argument("--dt", type=float, required=True)
-    sp.add_argument("--v-max", dest="v_max", type=float)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_kernel)
 
     sp = sub.add_parser("evolve", help="apply the solution operator to a CSV "
                                        "grid function")
-    _add_globals(sp)
-    sp.add_argument("--potential", required=True)
+    _add_run_flags(sp, dt_required=False)
     sp.add_argument("--initial", required=True, help="CSV x,S")
-    sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--t2", type=float, required=True)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--v-max", dest="v_max", type=float)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_evolve)
 
     for kind, e in EXPERIMENTS.items():
         sp = sub.add_parser(e.command, help=f"run the {kind} experiment")
-        _add_globals(sp)
-        sp.add_argument("--horizons", help="comma-separated horizon list")
-        sp.add_argument("--seeds", help="comma-separated seed list")
+        sp.add_argument("--config", help="JSON config file")
+        sp.add_argument("--out-dir", help="output directory (default out)")
+        if e.horizons:   # a kind with no default horizons reads none
+            sp.add_argument("--horizons", help="comma-separated horizon list")
+        if kind == "conjecture-probe":   # the one runner that reads cfg.seeds
+            sp.add_argument("--seeds", help="comma-separated seed list")
         sp.set_defaults(fn=lambda a, _kind=kind: _cmd_experiment(_kind, a))
 
     return ap

@@ -10,8 +10,9 @@ _horizon_record, and horizons run one after another.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -45,14 +46,19 @@ __all__ = [
 ]
 
 
+def _typed(value, name: str) -> bool:
+    """Whether value has the type ExperimentConfig annotates as name."""
+    kind = {"str": str, "float": numbers.Real, "int": numbers.Integral}[name]
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment parameters (defaults reproduce the CI profile)."""
+    """Resolved experiment parameters; the defaults are the CI runs."""
 
     kind: str = "scaling"
     beta: float = 2.0
     C: float = 1.0
-    profile: str = "ci"
     horizons: Optional[list] = None
     seeds: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
 
@@ -71,10 +77,21 @@ class ExperimentConfig:
     correlation_time: float = 2.0
 
     def __post_init__(self):
+        # a config file's "2", true or 5 must not fail (or run) deep inside
+        # an experiment: each value has its field's type, and a bool is no number
+        for f in fields(self):
+            value = getattr(self, f.name)
+            item = {"horizons": "float", "seeds": "int"}.get(f.name)
+            if item is None:
+                want, ok = f.type, _typed(value, f.type)
+            else:   # horizons None takes the kind's default
+                want = f"a list of {item}"
+                ok = (isinstance(value, list) and all(_typed(v, item) for v in value)
+                      or value is None and f.name == "horizons")
+            if not ok:
+                raise ValueError(f"config key {f.name!r} must be {want}, got {value!r}")
         if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.profile not in ("ci", "large"):
-            raise ValueError("profile must be 'ci' or 'large'")
         if not self.margin > 0:
             # the window's lower edge would sit on the potential edge and cut
             # the bump off: every minimizer stays static (v = 0)
@@ -84,8 +101,6 @@ class ExperimentConfig:
             raise ValueError(f"wavenumber must be finite and nonzero, got {self.wavenumber}")
         if self.horizons is None:
             self.horizons = list(EXPERIMENTS[self.kind].horizons)
-            if self.kind == "scaling" and self.profile == "large":
-                self.horizons.append(10000.0)
         self.horizons = [float(T) for T in self.horizons]
         if any(T <= math.e for T in self.horizons):
             raise ValueError("all horizons must exceed e (log T > 1)")
@@ -153,12 +168,6 @@ class ScalingReport:
             "flags": self.flags,
             "notes": self.notes,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalingReport":
-        return cls(kind=d["kind"], config=d["config"], records=d["records"],
-                   fit=d["fit"], onset_T=d["onset_T"], flags=d["flags"],
-                   notes=d["notes"], version=d["version"])
 
 
 # The fixed grid and measurement policy; each comment names its readers
@@ -698,7 +707,7 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
 
 class Experiment(NamedTuple):
     """One experiment kind: its runner, its ``hjlab`` command, its default
-    horizons (the large profile adds T = 1e4 to scaling's) and the report
+    horizons (a kind without any takes no --horizons flag) and the report
     flags that fail the command when false."""
 
     run: Callable[[ExperimentConfig], ScalingReport]

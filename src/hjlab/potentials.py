@@ -177,23 +177,6 @@ class PaceCurve:
                                  epsabs=0.0, epsrel=tol, limit=200)
         return self.K * self.T * tail
 
-    def deriv(self, s):
-        """g'(s) = K (log(T/s))^(2/beta); 0 at s = T.
-
-        At s = 0 the mathematical limit diverges; by convention the value
-        K (log T)^(2/beta) is returned there (the scale of the curve's speed
-        one unit before the terminal time).
-        """
-        s = self._check_range(s)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        z = np.empty_like(s)
-        zero = s <= 0.0
-        z[zero] = math.log(self.T) if self.T > 1 else 0.0
-        z[~zero] = np.maximum(np.log(self.T / s[~zero]), 0.0)
-        out = self.K * z ** (2.0 / self.beta)
-        return float(out[0]) if scalar else out
-
     def energy_closed(self, s: float) -> float:
         """Closed form of integral_0^s (g')^beta / beta du."""
         if s <= 0:

@@ -388,7 +388,7 @@ def test_criterion_09_large_profile():
     # additive velocity offsets (bump climb + sqrt(2C) stationarity shift)
     # cap the measurable exponent near 0.74-0.79 over {50..1e4}; see the
     # decisions ledger for the analysis.  Asserted as stated regardless.
-    cfg = ExperimentConfig(kind="scaling", profile="large")
+    cfg = ExperimentConfig(kind="scaling", horizons=[50.0, 200.0, 1000.0, 10000.0])
     rep = run_scaling(cfg)
     vs = [r["v"] for r in rep.records]
     runtime = sum(rep.wall_times.values())

@@ -39,10 +39,6 @@ def test_config_validation():
         ExperimentConfig(kind="scaling", horizons=[50.0, 20.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         ExperimentConfig(kind="scaling", horizons=[50.0, 50.0])
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="scaling", profile="huge")
-    cfg = ExperimentConfig(kind="scaling", profile="large")
-    assert cfg.horizons[-1] == 10000.0
     for margin in (0.0, -1.0):   # the window would cut the bump off: v = 0
         with pytest.raises(ValueError, match="margin"):
             ExperimentConfig(kind="scaling", margin=margin)
@@ -161,7 +157,7 @@ def test_conjecture_probe_deterministic():
     assert canonical_json(r1.to_dict()) == canonical_json(r2.to_dict())
     # pinned bytes of the probe's horizon records (see test_scaling_golden_digest)
     assert _report_digest(r1) == {
-        "json": "a21f9f6613eccbbbac91b2a87549f91b651f7813163c70fb3bc12f771acacdce",
+        "json": "e4b7cfdaa773fbfe558bf3d57b1af0f4794d515c296e171853405cab1a979a43",
         "csv": "298ffa067bc736352ca781b67ecdd4f2efa477e52f2f0edc4bca21dba191d2ed"}
     with pytest.raises(ValueError):
         run_conjecture_probe(ExperimentConfig(kind="conjecture-probe",
@@ -173,8 +169,7 @@ def test_emit_round_trip_and_formats(scaling_report, tmp_path):
     paths = emit(scaling_report, out_dir=str(tmp_path))
     with open(paths["json"]) as f:
         loaded = json.load(f)
-    rt = ScalingReport.from_dict(loaded)
-    assert rt.to_dict() == scaling_report.to_dict()
+    assert loaded == json.loads(canonical_json(scaling_report.to_dict()))
 
     csv_text = open(paths["csv"]).read()
     header = csv_text.splitlines()[0].split(",")
@@ -228,7 +223,7 @@ def test_scaling_golden_digest():
     incomplete-gamma calls differently and would need its own pin."""
     report = run_scaling(ExperimentConfig(kind="scaling", horizons=[50.0]))
     assert _report_digest(report) == {
-        "json": "6f700f13688c4dcb9a171dc089f2646f3fee645c5d0141d728f7cee45f837515",
+        "json": "e8caf3909048d18eb2831d454041d05df25e48f2db0cf6e0e0a252b48f4f800a",
         "csv": "39c3c5b8250c2dd44291eba44afd967f69e5102008d5636633868d514d735be8"}
 
 
@@ -238,7 +233,7 @@ def test_scaling_ci_golden_digest(scaling_report):
     (windows up to 6 657 nodes at T = 1000) and refine's largest arrays;
     same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(scaling_report) == {
-        "json": "271020023842290886ebc35e15fca93af04187e9019d79f1ce83f9b3b4ad6164",
+        "json": "4f18ecdfbb36b5874ee3b64b9899c3a0e6325f7f7ed8a38efafc126a0b82cbec",
         "csv": "f363bf4e4fbfb17148dbb0df6d43ba1fadb6a66a99da78620d37ee8c7480ded6"}
 
 
@@ -246,7 +241,7 @@ def test_periodic_golden_digest(periodic_report):
     """Pinned CI-profile periodic-control bytes (horizon records and the
     operator suite); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(periodic_report) == {
-        "json": "684ab900d772effdcd7713d566ef68a462f41743567a5dab89e0af805bc9528c",
+        "json": "ee9e088e0fdb0df1549e3c28c3b5f57c6605ade9ed891133261a46ca7b708bab",
         "csv": "9b2e9918764cc826ae055db69b39e6563a3a0c7e58bc36291ab7b9ff1d46b235"}
 
 
@@ -254,7 +249,7 @@ def test_glued_golden_digest(glued_report):
     """Pinned CI-profile glued-demo bytes (per-stage records, continuity
     note); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(glued_report) == {
-        "json": "3da4ad1f5b2c47ff19e9400f99658990dbaa97dd289db6151d8538b9468e2805",
+        "json": "7e53168ee76207a8f9f201146cabf8b024161bcae1a81cf46f5ff7b10ac08670",
         "csv": "cb5615e6ebcb4bb6aba02883cdb4d63306c386552ec6a48470d3804c52c38f4c"}
 
 
@@ -355,12 +350,14 @@ def test_cli_exit_codes(tmp_path):
 
 def test_cli_deleted_config_key_exit_2(tmp_path, capsys):
     """The grid policy is fixed in hjlab.experiments: a config file that sets
-    one of its former keys, even to the constant's own value, is a
+    one of its former keys, even to the constant's own value, or the deleted
+    `profile` (the large run is `--horizons 50,200,1000,10000`), is a
     configuration error that names the key, and no report is written."""
     deleted = {"dx_max": 0.025, "rt_fraction": 40, "v_cap_factor": 4.0,
                "detach_cap_factor": 4.0, "refine_passes": 8, "n_targets": 5,
                "s_window_max": 0.5, "glue_cap": 600.0, "glue_epsilon": 0.25,
-               "n_profiles": 3, "periodic_targets": [0.5, 1.5, 2.5]}
+               "n_profiles": 3, "periodic_targets": [0.5, 1.5, 2.5],
+               "profile": "large"}
     cfgfile = tmp_path / "old.json"
     for key, value in deleted.items():
         cfgfile.write_text(json.dumps({key: value}))
@@ -370,6 +367,59 @@ def test_cli_deleted_config_key_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and repr(key) in err
         assert not out.exists()
+
+
+def _no_run(cfg):
+    raise AssertionError("run_experiment must not run")
+
+
+@pytest.mark.parametrize("cmd, text", [
+    ("scaling", "[1]"),                          # not a JSON object
+    ("check-lemmas", '{"out_dir": 5}'),         # failed in emit, after the run
+    ("potential", "[1]"),
+    ("potential", '{"potential": 5}'),
+])
+def test_cli_malformed_config_exit_2(tmp_path, monkeypatch, capsys, cmd, text):
+    """A config file that is not a JSON object, or whose out_dir or potential
+    has the wrong type, is a one-line configuration error before any work."""
+    import hjlab.cli
+
+    monkeypatch.setattr(hjlab.cli, "run_experiment", _no_run)
+    monkeypatch.delenv("HJLAB_OUT_DIR", raising=False)
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(text)
+    assert cli_main([cmd, "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd, key, value", [
+    ("check-lemmas", "beta", "2"),
+    ("scaling", "C", True),
+    ("scaling", "margin", None),
+    ("glued-demo", "glue_n_max", 2.5),
+    ("periodic-control", "modulation", 5),
+    ("scaling", "horizons", 50),
+    ("scaling", "horizons", ["50", "200"]),
+    ("conjecture-probe", "seeds", 5),
+    ("conjecture-probe", "seeds", [1, 2, 3, 4, "5"]),
+])
+def test_cli_config_value_of_wrong_type_exit_2(tmp_path, monkeypatch, capsys,
+                                               cmd, key, value):
+    """A config value without its field's type (a string or a bool where a
+    number goes, a non-list horizons or seeds) is a configuration error that
+    names the key, raised by ExperimentConfig before the experiment runs."""
+    import hjlab.cli
+
+    with pytest.raises(ValueError, match=repr(key)):
+        ExperimentConfig(**{key: value})
+    monkeypatch.setattr(hjlab.cli, "run_experiment", _no_run)
+    cfgfile = tmp_path / "typed.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    assert cli_main([cmd, "--config", str(cfgfile), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(key) in err
+    assert err.count("\n") == 1
 
 
 def test_cli_uncapped_schedule_exit_2(tmp_path, capsys):

@@ -9,8 +9,11 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import hjlab
 from hjlab.cli import build_parser
+from hjlab.cli import main as cli_main
 from hjlab.experiments import ExperimentConfig
 
 
@@ -150,9 +153,71 @@ def test_readme_documents_every_command():
     undocumented."""
     block = _readme().split("## Command line", 1)[1].split("```")[1]
     documented = re.findall(r"^hjlab (\S+)", block, re.MULTILINE)
+    assert documented == list(_subparsers())
+
+
+_RUN_FLAGS = {"--potential", "--t1", "--t2", "--dt", "--v-max", "--out"}
+_CLI_FLAGS = {
+    "potential": {"--config", "--out", "--kind", "--beta", "--C", "--K", "--t1",
+                  "--t2", "--y", "--level", "--period", "--seed", "--epsilon",
+                  "--Tbar", "--n-max", "--cap", "--correlation-time", "--t-min",
+                  "--t-max", "--modulation"},
+    "minimize": _RUN_FLAGS | {"--x", "--dx", "--x-min", "--x-max"},
+    "kernel": _RUN_FLAGS | {"--dx", "--x-min", "--x-max"},
+    "evolve": _RUN_FLAGS | {"--initial"},
+    "scaling": {"--config", "--out-dir", "--horizons"},
+    "periodic-control": {"--config", "--out-dir", "--horizons"},
+    "glued-demo": {"--config", "--out-dir"},
+    "check-lemmas": {"--config", "--out-dir"},
+    "conjecture-probe": {"--config", "--out-dir", "--horizons", "--seeds"},
+}
+
+
+def _subparsers() -> dict:
     (sub,) = [a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    assert documented == list(sub.choices)
+    return sub.choices
+
+
+def test_cli_surface_is_pinned():
+    """Each subcommand declares only the flags its handler reads, 60 in all."""
+    surface = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, sp in _subparsers().items()}
+    assert surface == _CLI_FLAGS
+    assert sum(map(len, surface.values())) == 60
+
+
+# a valid command line for each subcommand (parsed, never run)
+_VALID_ARGV = {
+    "minimize": ["--potential", "p", "--t1", "0", "--t2", "1", "--dt", "0.1",
+                 "--out", "o", "--x", "0", "--dx", "0.1"],
+    "kernel": ["--potential", "p", "--t1", "0", "--t2", "1", "--dt", "0.1",
+               "--out", "o", "--x-min", "0", "--x-max", "1", "--dx", "0.1"],
+    "evolve": ["--potential", "p", "--t1", "0", "--t2", "1", "--out", "o",
+               "--initial", "s"],
+}
+_UNREAD = ["--config", "--out-dir", "--profile"]
+# the 23 flags these commands used to accept without reading them
+_REMOVED = {"potential": ["--out-dir", "--profile"],
+            "minimize": _UNREAD + ["--refine-passes"],
+            "kernel": _UNREAD,
+            "evolve": _UNREAD,
+            "scaling": ["--profile", "--seeds"],
+            "periodic-control": ["--profile", "--seeds"],
+            "glued-demo": ["--profile", "--horizons", "--seeds"],
+            "check-lemmas": ["--profile", "--horizons", "--seeds"],
+            "conjecture-probe": ["--profile"]}
+
+
+@pytest.mark.parametrize("cmd, flag", [(cmd, flag) for cmd, flags in _REMOVED.items()
+                                       for flag in flags])
+def test_cli_removed_flag_is_usage_error(cmd, flag, capsys):
+    """A removed flag, --profile and minimize's --refine-passes among them, is
+    an argparse usage error (exit 2) on an otherwise valid command line."""
+    argv = [cmd] + _VALID_ARGV.get(cmd, [])
+    build_parser().parse_args(argv)
+    assert cli_main(argv + [flag, "1"]) == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_readme_documents_every_config_key():
