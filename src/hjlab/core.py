@@ -207,8 +207,11 @@ class PathAction:
 
     def local(self, I) -> Callable:
         """Evaluator f(x, xi): action of the two segments around interior
-        nodes I of path x, with those nodes moved to xi (one entry per node).
+        nodes I of x, with those nodes moved to xi (one entry per node).
 
+        x may stack several paths on this time grid, row after row: I are
+        flat indices into it, node I at time index I mod n (n nodes a row),
+        and each node reads its neighbours I - 1 and I + 1.
         Quadrature points are laid out quadrature-major, (q, len(I)), so every
         elementwise op runs on long contiguous rows.  Summing the q rows adds
         each node's points in index order, as a row sum of the (len(I), q)
@@ -218,11 +221,12 @@ class PathAction:
         one potential call over the stacked times.
         """
         ts, q, frac, beta = self.seg_times, self.q, self.frac[:, None], self.p.beta
-        both = self.U.time_slice(np.concatenate((ts[I - 1].T, ts[I].T)))
+        i = I % (len(self.dt) + 1)
+        both = self.U.time_slice(np.concatenate((ts[i - 1].T, ts[i].T)))
         pts = np.empty((2 * q, len(I)))
         xl, xr = pts[:q], pts[q:]
-        dtl, dtr = self.dt[I - 1], self.dt[I]
-        kl, kr = self.kin_den[I - 1], self.kin_den[I]
+        dtl, dtr = self.dt[i - 1], self.dt[i]
+        kl, kr = self.kin_den[i - 1], self.kin_den[i]
         before, after = I - 1, I + 1
 
         def f(x, xi):
@@ -238,15 +242,17 @@ class PathAction:
 
         return f
 
-    def head(self) -> Callable:
-        """Evaluator f(x, xi) like :meth:`local` for the first node alone:
-        action of the first segment with node 0 moved to xi (one entry)."""
+    def head(self, I) -> Callable:
+        """Evaluator f(x, xi) like :meth:`local` for first nodes alone: action
+        of the first segment with the nodes I (flat indices of time index 0
+        into stacked paths) moved to xi."""
         q, frac, beta = self.q, self.frac[:, None], self.p.beta
         first = self.U.time_slice(self.seg_times[:1].T)
         dt0, k0 = self.dt[:1], self.kin_den[:1]
+        after = I + 1
 
         def f(x, xi):
-            dr = x[1] - xi
+            dr = x[after] - xi
             u = first(xi + dr * frac)
             return np.abs(dr) ** beta / k0 - np.sum(u, axis=0) * dt0 / q
 

@@ -223,17 +223,20 @@ def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
                     x_targets, s_window: float, lower_bound: float = 0.0,
                     seed: Optional[int] = None,
                     extra: Optional[dict] = None) -> HorizonRecord:
-    """Solve once, then backtrack, refine and measure each terminal target.
+    """Solve once, backtrack every terminal target in order, refine the paths
+    in one batch and measure each.
 
-    v(T) is the median terminal speed; the lemma margins are the worst over
-    the targets (the beta = 2 progression margin is None at other beta)."""
+    The paths coalesce backward, so one :func:`refine` call moves the nodes
+    they share once.  v(T) is the median terminal speed; the lemma margins
+    are the worst over the targets (the beta = 2 progression margin is None
+    at other beta)."""
     p = cfg.params
     table = solve_dp(U, grid, None, p)
+    paths = [_backtrack_inside(table, float(xt)) for xt in x_targets]
+    del table   # free the offsets before the batch refine, which holds more than one path
     speeds, lows, highs = [], [], []
     wT_margins, prog_margins, prog_pairs = [], [], 0
-    for xt in x_targets:
-        traj = _backtrack_inside(table, float(xt))
-        traj = refine(traj, U, p, passes=REFINE_PASSES)
+    for traj in refine(paths, U, p, passes=REFINE_PASSES):
         tv = terminal_velocity(traj, s_window, p)
         speeds.append(float(tv.speed))
         lows.append(float(tv.lo))

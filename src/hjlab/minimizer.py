@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -496,17 +496,16 @@ def backtrack(table: ValueTable, x: float) -> Trajectory:
     """
     grid = table.grid
     n_steps = grid.n_steps
-    lo_f, _ = grid.slice_range(n_steps)
+    lows = (grid.window.lo.tolist() if grid.window is not None
+            else [0] * (n_steps + 1))
     j = _final_node(grid, x)
-    if not np.isfinite(table.final_values[j - lo_f]):
+    if not np.isfinite(table.final_values[j - lows[n_steps]]):
         raise DomainError(f"terminal node x={x} is unreachable on this grid")
 
-    idx_path = np.empty(n_steps + 1, dtype=np.int64)
-    idx_path[n_steps] = j
+    idx = [j] * (n_steps + 1)
     for k in range(n_steps, 0, -1):
-        lo_t, _ = grid.slice_range(k)
-        o = int(table.offsets[k - 1][idx_path[k] - lo_t])
-        idx_path[k - 1] = idx_path[k] + o
+        idx[k - 1] = idx[k] + int(table.offsets[k - 1][idx[k] - lows[k]])
+    idx_path = np.array(idx, dtype=np.int64)
 
     if grid.window is not None:
         w = grid.window
@@ -560,9 +559,9 @@ def enumerate_paths(U: PotentialField, grid: GridSpec, S0, p: ModelParams):
     return values, best_paths
 
 
-def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
-           passes: int = 30, rel_tol: float = 1e-10,
-           free_left: bool = False) -> Trajectory:
+def refine(traj: Trajectory | Sequence[Trajectory], U: PotentialField,
+           p: ModelParams, passes: int = 30, rel_tol: float = 1e-10,
+           free_left: bool = False) -> Trajectory | list[Trajectory]:
     """Continuum sharpening: coordinate descent on interior node positions.
 
     Nodes are swept in red-black order (odd then even interior indices, whose
@@ -577,54 +576,109 @@ def refine(traj: Trajectory, U: PotentialField, p: ModelParams,
     With ``free_left`` the first node is a third color, moved by the same
     line search over its single segment (appropriate for free-left-endpoint
     minimizers with zero initial value function, where grid snapping would
-    otherwise pin gamma(t1) a half-step off the transversal optimum).
-    """
-    x = traj.positions.copy()
-    n = len(x)
-    if n < 3:
-        return traj
-    pa = PathAction(traj.times, U, p)
-    bracket = 2.0 * max(float(np.max(np.abs(np.diff(x)))), 1e-3 * float(np.max(pa.dt)))
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    colors = [I for I in (np.arange(1, n - 1, 2), np.arange(2, n - 1, 2)) if len(I)]
-    local = [pa.local(I) for I in colors]
-    if free_left:
-        colors.append(np.array([0]))
-        local.append(pa.head())
+    otherwise pin gamma(t1) a half-step off the transversal optimum); a
+    two-node path moves it too.
 
-    total = pa.action(x)
-    for _ in range(passes):
-        improved = 0.0
-        for I, f in zip(colors, local):
-            x0 = x[I]
-            f0 = f(x, x0)
-            a_ = x0 - bracket
-            b_ = x0 + bracket
-            c_ = b_ - gr * (b_ - a_)
-            d_ = a_ + gr * (b_ - a_)
-            fc = f(x, c_)
-            fd = f(x, d_)
-            for _ in range(_GOLDEN_ITERS):
-                mask = fc < fd
-                old_c, old_d, old_fc, old_fd = c_, d_, fc, fd
-                b_ = np.where(mask, old_d, b_)
-                a_ = np.where(mask, a_, old_c)
-                c_ = np.where(mask, b_ - gr * (b_ - a_), old_d)
-                d_ = np.where(mask, old_c, a_ + gr * (b_ - a_))
-                fresh = np.where(mask, c_, d_)
-                f_fresh = f(x, fresh)
-                fc = np.where(mask, f_fresh, old_fd)
-                fd = np.where(mask, old_fc, f_fresh)
-            x_new = np.where(fc < fd, c_, d_)
-            f_new = np.minimum(fc, fd)
-            accept = f_new < f0
-            if np.any(accept):
-                x[I[accept]] = x_new[accept]
-                improved += float(np.sum((f0 - f_new)[accept]))
-        if improved <= rel_tol * (abs(total) + 1.0):
-            break
-        total -= improved
-    return traj.with_positions(x)
+    ``traj`` is one :class:`~hjlab.core.Trajectory` or a sequence of them on
+    one time grid, and the result has the same shape: each path comes out
+    bit for bit as refined alone.  Paths are grouped by the bits of their
+    bracket, and a group's rows are stacked into one flat node vector, so
+    that each color is one line search over the nodes of every running row.
+    A node's move reads only its neighbours and the bracket, so a
+    difference at node d reaches at most 2 nodes further back per pass: if
+    a group's paths first differ at node d, they agree on [0, s + 1) through
+    every pass, s = d - 2 passes - 2.  The group's first running row moves
+    that trunk [0, s) once; the others move their nodes from s on and copy
+    the trunk after each color.  Each row's stop test sums the same array
+    of improvements as alone, and a row that stops leaves its group.
+    """
+    single = isinstance(traj, Trajectory)
+    paths = [traj] if single else list(traj)
+    times = paths[0].times
+    if any(not np.array_equal(t.times, times) for t in paths[1:]):
+        raise ValueError("refine batches paths on one time grid only")
+    X = np.array([t.positions for t in paths])    # rows refined in place
+    x = X.reshape(-1)
+    n = X.shape[1]
+    pa = PathAction(times, U, p)
+    floor = 1e-3 * float(np.max(pa.dt))
+    groups = {}
+    for r, row in enumerate(X):
+        bracket = 2.0 * max(float(np.max(np.abs(np.diff(row)))), floor)
+        groups.setdefault(bracket, []).append(r)
+
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    for bracket, running in groups.items():
+        bits = X[running].view(np.uint64)
+        differ = np.any(bits[1:] != bits[0], axis=0)
+        d = int(np.argmax(differ)) if differ.any() else n
+        s = max(0, d - 2 * passes - 2)
+        totals = {r: pa.action(X[r]) for r in running}
+        colors = None
+        for _ in range(passes):
+            if colors is None:
+                colors = _refine_colors(pa, n, running, s, free_left)
+            improved = dict.fromkeys(running, 0.0)
+            for I, f, sums in colors:
+                x0 = x[I]
+                f0 = f(x, x0)
+                a_ = x0 - bracket
+                b_ = x0 + bracket
+                c_ = b_ - gr * (b_ - a_)
+                d_ = a_ + gr * (b_ - a_)
+                fc = f(x, c_)
+                fd = f(x, d_)
+                for _ in range(_GOLDEN_ITERS):
+                    mask = fc < fd
+                    old_c, old_d, old_fc, old_fd = c_, d_, fc, fd
+                    b_ = np.where(mask, old_d, b_)
+                    a_ = np.where(mask, a_, old_c)
+                    c_ = np.where(mask, b_ - gr * (b_ - a_), old_d)
+                    d_ = np.where(mask, old_c, a_ + gr * (b_ - a_))
+                    fresh = np.where(mask, c_, d_)
+                    f_fresh = f(x, fresh)
+                    fc = np.where(mask, f_fresh, old_fd)
+                    fd = np.where(mask, old_fc, f_fresh)
+                x_new = np.where(fc < fd, c_, d_)
+                f_new = np.minimum(fc, fd)
+                accept = f_new < f0
+                if np.any(accept):
+                    x[I[accept]] = x_new[accept]
+                    gain = f0 - f_new
+                    for r, sel in zip(running, sums):
+                        improved[r] += float(np.sum(gain[sel][accept[sel]]))
+                X[running[1:], :s] = X[running[0], :s]   # followers copy the trunk
+            stop = [r for r in running if improved[r] <= rel_tol * (abs(totals[r]) + 1.0)]
+            if len(stop) == len(running):
+                break
+            if stop:
+                running, colors = [r for r in running if r not in stop], None
+            for r in running:
+                totals[r] -= improved[r]
+    out = [t.with_positions(row) for t, row in zip(paths, X)]
+    return out[0] if single else out
+
+
+def _refine_colors(pa: PathAction, n: int, running, s: int, free_left: bool):
+    """:func:`refine`'s colors over the running rows of one group, whose
+    first row moves the trunk [0, s) and the others their nodes from s on.
+
+    A color is (I, f, sums): the flat indices of its nodes, row by row, their
+    evaluator, and per running row the positions in I of that row's nodes of
+    the color in time order (below s, those of the first row).
+    """
+    colors = []
+    for nodes, make in ((np.arange(1, n - 1, 2), pa.local),
+                        (np.arange(2, n - 1, 2), pa.local),
+                        (np.arange(int(free_left)), pa.head)):
+        skip = [0] + [int(np.searchsorted(nodes, s))] * (len(running) - 1)
+        ends = np.cumsum([0] + [len(nodes) - k for k in skip]).tolist()
+        if not ends[-1]:
+            continue
+        I = np.concatenate([r * n + nodes[k:] for r, k in zip(running, skip)])
+        sums = [np.r_[0:k, ends[j]:ends[j + 1]] for j, k in enumerate(skip)]
+        colors.append((I, make(I), sums))
+    return colors
 
 
 def newton_polish(traj: Trajectory, U: PotentialField, p: ModelParams) -> Trajectory:
@@ -813,17 +867,11 @@ def progression_margins(traj: Trajectory, p: ModelParams, dx: float,
         idx = np.unique(np.round(np.linspace(0, len(svals) - 1, n_samples)).astype(int))
         svals = svals[idx]
     svals = np.sort(svals)
-    w = np.array([average_speed(traj, float(s)) for s in svals])
-    worst = np.inf
-    count = 0
-    for a in range(len(svals)):
-        for b in range(a + 1, len(svals)):
-            s1, s2 = float(svals[a]), float(svals[b])
-            w1, w2 = float(w[a]), float(w[b])
-            if w1 <= w2:
-                continue
-            eps = 4.0 * dx * (w1 + 1.0) / (s1 * p.C)
-            margin = s2 / s1 + eps - 1.0 - (w1 - w2) ** 2 / (2.0 * p.C)
-            worst = min(worst, margin)
-            count += 1
-    return (float(worst) if count else math.inf), count
+    # average_speed at every sampled s, elementwise
+    w = np.abs(traj.positions[-1] - traj.position(t_end - svals)) / svals
+    a, b = np.triu_indices(len(svals), 1)
+    keep = w[a] > w[b]
+    s1, s2, w1, w2 = svals[a[keep]], svals[b[keep]], w[a[keep]], w[b[keep]]
+    eps = 4.0 * dx * (w1 + 1.0) / (s1 * p.C)
+    margin = s2 / s1 + eps - 1.0 - (w1 - w2) ** 2 / (2.0 * p.C)
+    return (float(margin.min()) if len(margin) else math.inf), len(margin)

@@ -626,6 +626,45 @@ def test_scaling_first_margin_holds_lowest_target(monkeypatch):
                for a, b in zip(sized["speeds"], wide["speeds"]))
 
 
+def test_horizon_refine_shares_the_trunk(monkeypatch):
+    """_horizon_record refines its five paths in one call that evaluates
+    fewer potential points than five refines of the same paths."""
+    import hjlab.experiments
+    import hjlab.minimizer
+
+    def counting(U):
+        points = [0]
+
+        def slice_fn(ts, deriv):
+            f = U.slice_fn(ts, deriv)
+
+            def counted(x):
+                points[0] += np.size(x)
+                return f(x)
+            return counted
+
+        return dataclasses.replace(U, slice_fn=slice_fn), points
+
+    calls = []
+
+    def spy(paths, U, p, **kw):
+        Uc, points = counting(U)
+        out = hjlab.minimizer.refine(paths, Uc, p, **kw)
+        calls.append((paths, U, p, kw, points[0]))
+        return out
+
+    monkeypatch.setattr(hjlab.experiments, "refine", spy)
+    run_scaling(ExperimentConfig(kind="scaling", horizons=[20.0]))
+    ((paths, U, p, kw, batched),) = calls
+    assert len(paths) == N_TARGETS
+    separate = 0
+    for path in paths:
+        Uc, points = counting(U)
+        hjlab.minimizer.refine(path, Uc, p, **kw)
+        separate += points[0]
+    assert batched < separate
+
+
 def test_cli_minimize_domain_above_edge_fails(tmp_path, capsys, monkeypatch):
     # the T = 100 edge starts near -63; a domain starting at -3 would return
     # the static path x = 0 if the sweep ran

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hjlab.core import (ModelParams, PathAction, PotentialField, Trajectory,
@@ -690,6 +690,70 @@ def test_refine_reduces_el_residual():
     r0 = np.max(np.abs(el_residual(tr, U, P2)))
     r1 = np.max(np.abs(el_residual(out, U, P2)))
     assert r1 <= r0
+
+
+def test_refine_free_left_moves_two_node_path():
+    """A two-node path has no interior node; with free_left its first node
+    is still moved, and the action on the T = 20 accelerating field falls
+    (it stayed at 5.375 when such a path was returned unmoved)."""
+    U = accelerating_potential(0.0, 0.0, 20.0, velocity_bound_lower(20.0, P2).K2,
+                               1.0, 2.0)
+    tr = Trajectory(np.array([19.0, 20.0]), np.array([-3.3, 0.0]))
+    pa = PathAction(tr.times, U, P2)
+    out = refine(tr, U, P2, passes=30, free_left=True)
+    assert out.positions[-1] == 0.0
+    assert pa.action(out.positions) < pa.action(tr.positions) - 5.0
+    assert refine(tr, U, P2, passes=30).positions.tobytes() == tr.positions.tobytes()
+
+
+def _coalescing_paths(seed, n, tails):
+    """Paths on one time grid of n >= 2 nodes that share a prefix: per path
+    a (k, size) pair adds noise of that size to the shared path's nodes k
+    and up (size 0 or k = n keeps it equal).  The shared path's first step
+    dominates the small noises, so brackets come out equal and unequal."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 3.0, n)
+    base = 1.5 * t + 0.2 * rng.standard_normal(n)
+    base[0] -= 1.0
+    paths = []
+    for k, size in tails:
+        x = base.copy()
+        x[k:] += size * rng.standard_normal(n - k)
+        paths.append(Trajectory(t, x))
+    return paths
+
+
+@st.composite
+def coalescing_paths(draw):
+    n = draw(st.integers(2, 64))
+    tails = draw(st.lists(st.tuples(st.integers(0, n).map(lambda j: n - j),
+                                    st.sampled_from([0.0, 0.01, 0.1, 1.0])),
+                          min_size=2, max_size=4))
+    return _coalescing_paths(draw(st.integers(0, 2**32 - 1)), n, tails)
+
+
+@settings(max_examples=30, deadline=None)
+@given(paths=coalescing_paths(), passes=st.integers(1, 10),
+       rel_tol=st.sampled_from([0.3, 0.1, 0.03, 1e-10]), free_left=st.booleans())
+# two paths share a bracket and a trunk, a third has a bracket 2% wider; a
+# group's follower stops while its lead runs on; a lead stops and the next
+# row takes the trunk over
+@example(paths=_coalescing_paths(0, 30, [(30, 0.0), (12, 0.01), (1, 0.01)]),
+         passes=3, rel_tol=1e-10, free_left=False)
+@example(paths=_coalescing_paths(158, 40, [(39, 0.0), (21, 0.1)]),
+         passes=7, rel_tol=0.03, free_left=True)
+@example(paths=_coalescing_paths(558, 44, [(33, 0.01), (34, 0.1), (22, 0.01)]),
+         passes=7, rel_tol=0.03, free_left=True)
+def test_refine_batch_equals_per_path(paths, passes, rel_tol, free_left):
+    """A batch refines each path bit for bit as refine does alone, with
+    shared trunks, equal and unequal brackets and rows that stop at
+    different passes."""
+    U = periodic_potential(cosine_profile(1.0, 1.3), 1.0)
+    kw = dict(passes=passes, rel_tol=rel_tol, free_left=free_left)
+    batch = refine(paths, U, P2, **kw)
+    assert len(batch) == len(paths)
+    for path, out in zip(paths, batch):
+        assert out.positions.tobytes() == refine(path, U, P2, **kw).positions.tobytes()
 
 
 def test_newton_polish_reaches_stationarity():
