@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
 from .core import PotentialField, constant_potential, zero_potential
 
@@ -131,8 +129,8 @@ class PaceCurve:
 
     The substitution v = log(T/u) turns g into an incomplete-gamma tail,
     g(s) = K*T*Gamma(1+2/beta)*Q(1+2/beta, log(T/s)), which is what
-    :meth:`value` evaluates; :meth:`value_quad` integrates the tail by
-    adaptive quadrature instead and serves as the independent cross-check.
+    :meth:`value` evaluates; the tests cross-check it against adaptive
+    quadrature of the tail (``tests/oracles.py``).
     """
 
     K: float
@@ -154,28 +152,17 @@ class PaceCurve:
         return np.clip(s, 0.0, self.T)
 
     def value(self, s):
-        """g(s), vectorized; exact incomplete-gamma evaluation."""
+        """g(s), vectorized; exact incomplete-gamma evaluation.  g(NaN) is NaN."""
+        from scipy.special import gamma, gammaincc   # first call loads it, not import hjlab
         s = self._check_range(s)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
         out = np.zeros_like(s)
-        pos = s > 0.0
+        pos = ~(s <= 0.0)
         if np.any(pos):
             z = np.log(self.T / s[pos])
-            out[pos] = self.K * self.T * gamma_fn(self._a) * gammaincc(self._a, z)
+            out[pos] = self.K * self.T * gamma(self._a) * gammaincc(self._a, z)
         return float(out[0]) if scalar else out
-
-    def value_quad(self, s: float, tol: float = 1e-10) -> float:
-        """g(s) by adaptive quadrature of the tail integral (oracle path)."""
-        from scipy import integrate   # oracle only: keeps it out of import hjlab
-        s = float(self._check_range(s))
-        if s == 0.0:
-            return 0.0
-        z = math.log(self.T / s)
-        p = 2.0 / self.beta
-        tail, _ = integrate.quad(lambda v: v**p * math.exp(-v), z, np.inf,
-                                 epsabs=0.0, epsrel=tol, limit=200)
-        return self.K * self.T * tail
 
     def energy_closed(self, s: float) -> float:
         """Closed form of integral_0^s (g')^beta / beta du."""
@@ -319,7 +306,8 @@ def glued_schedule(epsilon: float, Tbar: float, K: float, C: float, beta: float,
     if not Tbar > 0:   # max(1.0, nan) would quietly give 1.0
         raise ValueError(f"Tbar must be > 0, got {Tbar}")
 
-    kbar = K * gamma_fn(1.0 + 2.0 / beta)
+    from scipy.special import gamma
+    kbar = K * gamma(1.0 + 2.0 / beta)
     T1 = max(1.0, float(Tbar))
     stages = [(T1, T1, kbar * T1)]
     capped = False

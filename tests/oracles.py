@@ -1,18 +1,35 @@
 """Reference formulas the tests compare hjlab against.
 
 No pipeline, command or benchmark reads these, so they live beside the
-tests rather than in the package: the Euler-Lagrange residual, the DP's
-kick-form path cost, the kinetic (Jensen) floor, a sampling certificate of
-the paper's hypothesis on U, and the Lipschitz truncation of a kernel.
+tests rather than in the package: the pace curve by quadrature, the
+Euler-Lagrange residual, the DP's kick-form path cost, the kinetic (Jensen)
+floor, a sampling certificate of the paper's hypothesis on U, and the
+Lipschitz truncation of a kernel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from hjlab.core import ModelParams, PotentialField, Trajectory, legendre
 from hjlab.laxoleinik import Kernel
 from hjlab.minimizer import GridSpec
+from hjlab.potentials import PaceCurve
+
+
+def pace_value_quad(curve: PaceCurve, s: float, tol: float = 1e-10) -> float:
+    """g(s) for 0 <= s <= T by adaptive quadrature of the tail integral
+    K*T*integral_z^inf v^(2/beta) e^(-v) dv, z = log(T/s): the independent
+    cross-check of PaceCurve.value's incomplete-gamma closed form."""
+    if s == 0.0:
+        return 0.0
+    z = math.log(curve.T / s)
+    p = 2.0 / curve.beta
+    tail, _ = integrate.quad(lambda v: v**p * math.exp(-v), z, np.inf,
+                             epsabs=0.0, epsrel=tol, limit=200)
+    return curve.K * curve.T * tail
 
 
 def el_residual(traj: Trajectory, U: PotentialField, p: ModelParams) -> np.ndarray:

@@ -108,36 +108,84 @@ _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.lina
 _IMPORT_BUDGET_CHILD = f"""
 import json, sys
 import hjlab, hjlab.cli, hjlab.experiments, hjlab.reports
-loaded = [m for m in {_HEAVY_SCIPY!r} if m in sys.modules]
-special = "scipy.special" in sys.modules
+from hjlab.experiments import ExperimentConfig
+from hjlab.minimizer import GridSpec
+from hjlab.potentials import accelerating_potential
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+res = {{"after_import": scipy_loaded()}}
+accelerating_potential(y=0.0, t1=0.0, t2=50.0, K=0.63, C=1.0, beta=2.0)
+GridSpec(x_min=-10.0, x_max=1.0, dx=0.1, t1=0.0, t2=50.0, dt=0.1, v_max=4.0)
+ExperimentConfig(kind="scaling")
+res["after_inputs"] = scipy_loaded()
 c = hjlab.PaceCurve(K=1.3, T=1e4, beta=2.0)
 s = 0.1 * c.T
-print(json.dumps({{"loaded": loaded, "special": special,
-                  "value": [c.value(s), c.value_quad(s)],
-                  "energy": [c.energy_closed(s), c.energy_quad(s)],
-                  "integrate_after": "scipy.integrate" in sys.modules}}))
+res["value"] = c.value(s)
+res["special"] = "scipy.special" in sys.modules
+res["heavy"] = [m for m in {_HEAVY_SCIPY!r} if m in sys.modules]
+from oracles import pace_value_quad
+res["quad"] = pace_value_quad(c, s)
+res["energy"] = [c.energy_closed(s), c.energy_quad(s)]
+print(json.dumps(res))
 """
 
 
 def test_import_budget_excludes_heavy_scipy():
     """Importing the package and its CLI, experiment and report modules in a
-    fresh interpreter loads numpy and scipy.special but none of the heavier
-    scipy subpackages: scipy.integrate (which pulls in optimize, sparse and
-    linalg) is imported only by the PaceCurve quadrature oracles, which still
-    agree with the closed forms once it is."""
+    fresh interpreter loads no scipy module, and neither does building
+    perfbench's set-up inputs (an accelerating field, a grid, a scaling
+    config).  The first pace-curve evaluation loads scipy.special and none
+    of the heavier subpackages; its incomplete-gamma closed form, and the
+    energy's, still agree with quadrature."""
+    here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(hjlab.__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join([src, here, env.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_CHILD], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     res = json.loads(out.stdout.splitlines()[-1])
-    assert res["loaded"] == []
+    assert res["after_import"] == []
+    assert res["after_inputs"] == []
     assert res["special"]
-    assert res["integrate_after"]
-    exact, quad = res["value"]
+    assert res["heavy"] == []
+    exact, quad = res["value"], res["quad"]
     assert abs(exact - quad) <= 1e-9 * abs(exact)
     closed, quad = res["energy"]
     assert abs(closed - quad) <= 1e-8 * abs(closed)
+
+
+def _module_scope(node):
+    """The nodes that run when a module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _module_scope(child)
+
+
+def test_no_module_scope_scipy_import():
+    """No hjlab module imports scipy or a scipy submodule at module scope
+    (class bodies and if/try blocks included), so the import budget above
+    cannot regress unseen; scipy is imported inside the functions that use
+    it."""
+    pkg = os.path.dirname(os.path.abspath(hjlab.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read(), filename=name)
+        for node in _module_scope(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in mods):
+                found.append(f"src/hjlab/{name}:{node.lineno}")
+    assert found == []
 
 
 def _readme() -> str:

@@ -615,7 +615,8 @@ def test_windowed_equals_full_property(instance):
     window edge has the full value to rounding.  Bit equality is not a
     property: on the flat plateau near-tied paths can differ in the last
     bits.  A detachment cap can also exclude the static minimizer without
-    any touch (ROADMAP item 7), so with a cap only the bound is asserted."""
+    any touch (README, the windowed-runs caveat), so with a cap only the
+    bound is asserted."""
     U, p, grid, margin, detach_cap, x = instance
     full = solve_dp(U, grid, None, p)
     win = solve_dp(U, comoving_window(U, margin, grid, detach_cap=detach_cap),

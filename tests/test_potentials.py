@@ -14,7 +14,7 @@ from hjlab.potentials import (FEASIBLE_HORIZON_MAX, GluedSchedule, PaceCurve,
                               pace_s2_gap,
                               periodic_potential, potential_from_spec,
                               random_potential)
-from oracles import certify_potential
+from oracles import certify_potential, pace_value_quad
 
 GRID_BETAS = (1.5, 2.0, 3.0)
 GRID_FRACTIONS = (0.01, 0.1, 0.5, 1.0)
@@ -51,6 +51,18 @@ def test_pace_examples():
         c8.value(9.0)
 
 
+def test_nan_time_gives_nan_pace_and_field():
+    """A NaN time reaches the field's values as NaN, where the DP's NaN
+    guard sees it, instead of reading as g = 0 (a finished edge)."""
+    c = PaceCurve(K=1.0, T=10.0, beta=2.0)
+    assert math.isnan(c.value(math.nan))
+    assert np.isnan(c.value(np.array([math.nan, 5.0]))).tolist() == [True, False]
+    U = accelerating_potential(y=0.0, t1=0.0, t2=10.0, K=1.0, C=1.0, beta=2.0)
+    x = np.array([-1.0, 0.5])
+    assert np.all(np.isnan(U.value(x, math.nan)))
+    assert np.all(np.isnan(U.grad(x, math.nan)))
+
+
 def test_pace_value_scalar_path_equals_array_path():
     """PaceCurve.value has one path for scalars and arrays: a Python float,
     a numpy float or a 0-d array gets the array's bits as a Python float,
@@ -83,7 +95,7 @@ def test_pace_value_vs_quadrature_grid():
                 c = PaceCurve(K=1.3, T=T, beta=beta)
                 s = frac * T
                 exact = c.value(s)
-                quad = c.value_quad(s)
+                quad = pace_value_quad(c, s)
                 assert exact == pytest.approx(quad, rel=1e-9, abs=1e-12)
 
 
