@@ -4,9 +4,10 @@ Subcommands build potentials, compute single minimizers and kernels, apply
 the solution operator, and run the batch experiments.  Each subcommand takes
 only the flags its handler reads: `--config` (or HJLAB_CONFIG) on `potential`
 and the experiments, `--out-dir` (or HJLAB_OUT_DIR, or the config file's
-`out_dir`) on the experiments, `--horizons` on the experiments with default
-horizons and `--seeds` on `conjecture-probe`.  Explicit flags win over the
-environment, which wins over the config file.  `minimize`, `kernel` and
+`out_dir`) on the experiments, and `--horizons` and `--seeds` on the
+experiments whose `EXPERIMENTS` row reads that config key.  An experiment's
+config file may set only the keys its row reads.  Explicit flags win over
+the environment, which wins over the config file.  `minimize`, `kernel` and
 `evolve` share their potential, time, speed-cap and output flags.
 
 Exit codes: 0 all hard assertions pass, 1 assertion failure or failed run
@@ -44,6 +45,8 @@ _SPEC_FLAGS = {"kind": str, "beta": float, "C": float, "K": float, "t1": float,
                "seed": int, "epsilon": float, "Tbar": float, "n_max": int,
                "cap": float, "correlation_time": float, "t_min": float,
                "t_max": float, "modulation": str}
+# the list-valued config keys an experiment command takes as comma-separated flags
+_LIST_FLAGS = {"horizons": float, "seeds": int}
 
 
 class ConfigError(Exception):
@@ -202,15 +205,15 @@ def _cmd_experiment(kind, args) -> int:
     if not isinstance(out_dir, str):
         raise ConfigError(f"config key 'out_dir' must be a string, got {out_dir!r}")
     merged["kind"] = kind
-    if getattr(args, "horizons", None):
-        merged["horizons"] = [float(x) for x in args.horizons.split(",")]
-    if getattr(args, "seeds", None):
-        merged["seeds"] = [int(x) for x in args.seeds.split(",")]
-    try:
-        cfg = ExperimentConfig(**merged)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    report = run_experiment(cfg)
+    e = EXPERIMENTS[kind]
+    unread = sorted(set(merged) - {"kind"} - set(e.reads))
+    if unread:
+        raise ConfigError(f"{e.command} does not read config key(s) "
+                          f"{', '.join(map(repr, unread))}; it reads {', '.join(e.reads)}")
+    for key, typ in _LIST_FLAGS.items():
+        if key in e.reads and getattr(args, key):
+            merged[key] = [typ(x) for x in getattr(args, key).split(",")]
+    report = run_experiment(ExperimentConfig(**merged))
     paths = emit(report, out_dir)
     hard = HARD_FLAGS[kind]
     failed = [name for name in hard if report.flags.get(name) is False]
@@ -275,10 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(e.command, help=f"run the {kind} experiment")
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out-dir", help="output directory (default out)")
-        if e.horizons:   # a kind with no default horizons reads none
-            sp.add_argument("--horizons", help="comma-separated horizon list")
-        if kind == "conjecture-probe":   # the one runner that reads cfg.seeds
-            sp.add_argument("--seeds", help="comma-separated seed list")
+        for key in [k for k in _LIST_FLAGS if k in e.reads]:
+            sp.add_argument("--" + key, help=f"comma-separated {key[:-1]} list")
         sp.set_defaults(fn=lambda a, _kind=kind: _cmd_experiment(_kind, a))
 
     return ap

@@ -9,6 +9,7 @@ _horizon_record, and horizons run one after another.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import time
@@ -106,13 +107,18 @@ class ExperimentConfig:
             raise ValueError("all horizons must exceed e (log T > 1)")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             raise ValueError("horizons must be strictly increasing")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
 
     @property
     def params(self) -> ModelParams:
         return ModelParams(beta=self.beta, C=self.C)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """kind and the fields its runner reads: a report records only those."""
+        return {"kind": self.kind,
+                **{name: copy.deepcopy(getattr(self, name))
+                   for name in EXPERIMENTS[self.kind].reads}}
 
 
 @dataclass
@@ -177,7 +183,7 @@ REFINE_PASSES = 8         # _horizon_record: refine passes per backtracked path
 DX_MAX = 0.05             # every pipeline's dx (2 * DX_MAX: operator suite, probe)
 RT_FRACTION = 40          # scaling: dx = min(DX_MAX, R_T / RT_FRACTION)
 N_TARGETS = 5             # scaling and glued targets across |x| <= R_T / 2
-S_WINDOW_MAX = 0.5        # every pipeline: longest terminal-speed window
+S_WINDOW_MAX = 0.5        # every pipeline: longest terminal-speed window, floored at dt
 
 
 def edge_grid(cfg: ExperimentConfig, U, t1: float, t2: float, T_pace: float,
@@ -227,10 +233,12 @@ def _horizon_record(cfg: ExperimentConfig, T: float, U, grid: GridSpec,
     in one batch and measure each.
 
     The paths coalesce backward, so one :func:`refine` call moves the nodes
-    they share once.  v(T) is the median terminal speed; the lemma margins
-    are the worst over the targets (the beta = 2 progression margin is None
-    at other beta)."""
+    they share once.  v(T) is the median terminal speed over a window of
+    s_window, floored at one time step (a short horizon or first glued stage
+    would ask for less); the lemma margins are the worst over the targets
+    (the beta = 2 progression margin is None at other beta)."""
     p = cfg.params
+    s_window = max(s_window, grid.dt_eff)
     table = solve_dp(U, grid, None, p)
     paths = [_backtrack_inside(table, float(xt)) for xt in x_targets]
     del table   # free the offsets before the batch refine, which holds more than one path
@@ -478,12 +486,9 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         wgrid = edge_grid(cfg, U, -S_n, 0.0, T_pace, DX_MAX,
                           float(max(x_targets.max() + 2 * DX_MAX, lbtop.R_T)),
                           cfg.margin)
-        # a short first stage (glue_Tbar 2 or 4 at the CI grid) would ask for
-        # a window below one time step: floor it there
-        s_window = max(min(S_WINDOW_MAX, sched.stages[0][0] / 10.0),
-                       wgrid.dt_eff)
         rec = _horizon_record(
-            cfg, float(S_n), U, wgrid, x_targets, s_window,
+            cfg, float(S_n), U, wgrid, x_targets,
+            min(S_WINDOW_MAX, sched.stages[0][0] / 10.0),
             extra={"stage": n, "T_stage": float(T_top),
                    "stages": [list(map(float, st)) for st in sched.stages],
                    "capped": bool(sched.capped)})
@@ -710,33 +715,45 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
 
 class Experiment(NamedTuple):
     """One experiment kind: its runner, its ``hjlab`` command, its default
-    horizons (a kind without any takes no --horizons flag) and the report
-    flags that fail the command when false."""
+    horizons, the report flags that fail the command when false and the
+    ExperimentConfig fields the runner reads.  Only those fields go into
+    the report's config, may be set in a config file, and get a flag
+    (--horizons, --seeds) when they are lists."""
 
     run: Callable[[ExperimentConfig], ScalingReport]
     command: str
     horizons: tuple
     hard_flags: tuple
+    reads: tuple
 
 
 # The only list of experiment kinds: config defaults, dispatch, the CLI
-# commands and their hard flags all read it, so a new kind is a runner plus a row.
+# commands, their flags, config keys and hard flags all read it, so a new
+# kind is a runner plus a row.
 EXPERIMENTS = {
     # fit_in_range is None (not False) when the fit is suppressed: "skipped", not failed
     "scaling": Experiment(run_scaling, "scaling", (50.0, 200.0, 1000.0),
                           ("monotone_v", "onset_found", "wT_lemma_ok",
-                           "progression_ok", "fit_in_range")),
+                           "progression_ok", "fit_in_range"),
+                          ("beta", "C", "horizons", "margin", "stencil")),
     "periodic-control": Experiment(run_periodic_control, "periodic-control",
                                    (100.0, 316.0, 1000.0),
                                    ("ratio_within_10pct", "no_monotone_growth",
                                     "domination_preserved", "liplarge_bounded",
-                                    "wT_lemma_ok")),
+                                    "wT_lemma_ok"),
+                                   ("beta", "C", "horizons", "stencil", "period",
+                                    "wavenumber", "modulation")),
     "glued-demo": Experiment(run_glued_demo, "glued-demo", (),
-                             ("per_stage_increase", "continuity_ok")),
+                             ("per_stage_increase", "continuity_ok"),
+                             ("beta", "C", "margin", "stencil", "glue_Tbar",
+                              "glue_n_max")),
     "lemma-suite": Experiment(run_lemma_suite, "check-lemmas", (),
-                              ("all_passed",)),
+                              ("all_passed",),
+                              ("beta", "C", "stencil", "correlation_time")),
     "conjecture-probe": Experiment(run_conjecture_probe, "conjecture-probe",
-                                   (20.0, 50.0, 200.0), ()),
+                                   (20.0, 50.0, 200.0), (),
+                                   ("beta", "C", "horizons", "seeds", "stencil",
+                                    "correlation_time")),
 }
 
 

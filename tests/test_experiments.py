@@ -157,7 +157,7 @@ def test_conjecture_probe_deterministic():
     assert canonical_json(r1.to_dict()) == canonical_json(r2.to_dict())
     # pinned bytes of the probe's horizon records (see test_scaling_golden_digest)
     assert _report_digest(r1) == {
-        "json": "e4b7cfdaa773fbfe558bf3d57b1af0f4794d515c296e171853405cab1a979a43",
+        "json": "198efa6559f1d4a6e61562cf81a184b7177c3ef205ad96e220fd875f9016d37b",
         "csv": "298ffa067bc736352ca781b67ecdd4f2efa477e52f2f0edc4bca21dba191d2ed"}
     with pytest.raises(ValueError):
         run_conjecture_probe(ExperimentConfig(kind="conjecture-probe",
@@ -223,7 +223,7 @@ def test_scaling_golden_digest():
     incomplete-gamma calls differently and would need its own pin."""
     report = run_scaling(ExperimentConfig(kind="scaling", horizons=[50.0]))
     assert _report_digest(report) == {
-        "json": "e8caf3909048d18eb2831d454041d05df25e48f2db0cf6e0e0a252b48f4f800a",
+        "json": "b9255ecab1e500ebbd21085a012d7c479b6450cdd185c09ee413ae8b9b6637c0",
         "csv": "39c3c5b8250c2dd44291eba44afd967f69e5102008d5636633868d514d735be8"}
 
 
@@ -233,7 +233,7 @@ def test_scaling_ci_golden_digest(scaling_report):
     (windows up to 6 657 nodes at T = 1000) and refine's largest arrays;
     same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(scaling_report) == {
-        "json": "4f18ecdfbb36b5874ee3b64b9899c3a0e6325f7f7ed8a38efafc126a0b82cbec",
+        "json": "59148831d794beb30920f2d38dd97868a20ac087f05b00fb2d1abdc46e61861c",
         "csv": "f363bf4e4fbfb17148dbb0df6d43ba1fadb6a66a99da78620d37ee8c7480ded6"}
 
 
@@ -241,7 +241,7 @@ def test_periodic_golden_digest(periodic_report):
     """Pinned CI-profile periodic-control bytes (horizon records and the
     operator suite); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(periodic_report) == {
-        "json": "ee9e088e0fdb0df1549e3c28c3b5f57c6605ade9ed891133261a46ca7b708bab",
+        "json": "f1e697b10ddce07d87964841060db73625d169499eb03cf73489b8d7f703f6ed",
         "csv": "9b2e9918764cc826ae055db69b39e6563a3a0c7e58bc36291ab7b9ff1d46b235"}
 
 
@@ -249,7 +249,7 @@ def test_glued_golden_digest(glued_report):
     """Pinned CI-profile glued-demo bytes (per-stage records, continuity
     note); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(glued_report) == {
-        "json": "7e53168ee76207a8f9f201146cabf8b024161bcae1a81cf46f5ff7b10ac08670",
+        "json": "c26ba1d151e23481e989391e5bc4f37429f21364ec9514ce98b5c35ef171a483",
         "csv": "cb5615e6ebcb4bb6aba02883cdb4d63306c386552ec6a48470d3804c52c38f4c"}
 
 
@@ -261,6 +261,59 @@ def test_lemma_suite_emit_deterministic(tmp_path):
     p2 = emit(r2, out_dir=str(tmp_path / "x2"))
     assert open(p1["json"], "rb").read() == open(p2["json"], "rb").read()
     assert open(p1["csv"], "rb").read() == open(p2["csv"], "rb").read()
+
+
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+class _ReadLog(ExperimentConfig):
+    """An ExperimentConfig that records each field read from it once its
+    `log` set exists (construction and validation read every field); the
+    reads of to_dict() go to `dict_log` instead."""
+
+    def __getattribute__(self, name):
+        log = object.__getattribute__(self, "__dict__").get("log")
+        if log is not None and name in _FIELDS:
+            log.add(name)
+        return object.__getattribute__(self, name)
+
+    def to_dict(self):
+        outer, self.log = self.log, set()
+        try:
+            return super().to_dict()
+        finally:
+            self.dict_log, self.log = self.log, outer
+
+
+# each kind at its smallest settings
+_SMALLEST = {"scaling": {"horizons": [50.0]},
+             "periodic-control": {"horizons": [5.0, 10.0]},
+             "glued-demo": {"glue_n_max": 1},
+             "lemma-suite": {},
+             "conjecture-probe": {"horizons": [5.0, 10.0]}}
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_runner_reads_exactly_its_row(kind):
+    """Each runner reads kind and exactly the fields its EXPERIMENTS row
+    declares, and so does config.to_dict(), whose result, the report's
+    config, holds exactly those."""
+    cfg = _ReadLog(kind=kind, **_SMALLEST[kind])
+    cfg.log = set()
+    report = EXPERIMENTS[kind].run(cfg)
+    reads = {"kind", *EXPERIMENTS[kind].reads}
+    assert cfg.log == reads
+    assert cfg.dict_log == reads
+    assert set(report.config) == reads
+
+
+def test_unread_config_field_leaves_report_bytes(lemma_report):
+    """Two lemma-suite configs that differ only in fields it does not read
+    give byte-identical JSON."""
+    other = run_lemma_suite(ExperimentConfig(kind="lemma-suite",
+                                             seeds=[9, 8, 7, 6, 5], period=3.0,
+                                             wavenumber=2.0, horizons=[50.0]))
+    assert canonical_json(other.to_dict()) == canonical_json(lemma_report.to_dict())
 
 
 # ---------------------------------------------------------------- CLI
@@ -371,6 +424,54 @@ def test_cli_deleted_config_key_exit_2(tmp_path, capsys):
 
 def _no_run(cfg):
     raise AssertionError("run_experiment must not run")
+
+
+def test_cli_unread_config_key_exit_2(tmp_path, monkeypatch, capsys):
+    """A config-file key the command's runner does not read, even at its
+    default value, is a configuration error that names the key, before any
+    work; and check-lemmas on {"seeds": ..., "period": 3.0} writes no
+    report."""
+    import hjlab.cli
+
+    cfgfile = tmp_path / "unread.json"
+    cfgfile.write_text(json.dumps({"seeds": [9, 8, 7, 6, 5], "period": 3.0}))
+    out = tmp_path / "lemmas"
+    assert cli_main(["check-lemmas", "--config", str(cfgfile),
+                     "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "'period'" in err and "'seeds'" in err
+    assert not out.exists()
+
+    monkeypatch.setattr(hjlab.cli, "run_experiment", _no_run)
+    defaults = dataclasses.asdict(ExperimentConfig())
+    checked = 0
+    for kind, e in EXPERIMENTS.items():
+        for key in sorted(_FIELDS - {"kind"} - set(e.reads)):
+            cfgfile.write_text(json.dumps({key: defaults[key]}))
+            out = tmp_path / kind / key
+            assert cli_main([e.command, "--config", str(cfgfile),
+                             "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and repr(key) in err
+            assert not out.exists()
+            checked += 1
+    assert checked == 60 - 28
+
+
+def test_cli_repeated_seeds_exit_2(tmp_path, monkeypatch, capsys):
+    """A seed listed twice is a configuration error, as a repeated horizon
+    is: the probe would solve it twice and count it as two of its five."""
+    import hjlab.cli
+
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        ExperimentConfig(kind="conjecture-probe", seeds=[1, 1, 2, 3, 4, 5])
+    monkeypatch.setattr(hjlab.cli, "run_experiment", _no_run)
+    assert cli_main(["conjecture-probe", "--horizons", "20,50", "--seeds",
+                     "1,1,2,3,4", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: seeds must be distinct")
+    assert not (tmp_path / "conjecture-probe.json").exists()
 
 
 @pytest.mark.parametrize("cmd, text", [
@@ -598,6 +699,19 @@ def test_cli_glued_demo_short_first_stage(tmp_path, capsys, Tbar):
     assert rc == 0, capsys.readouterr().err
     (rec,) = json.loads((tmp_path / "glued-demo.json").read_text())["records"]
     assert rec["s_window"] == rec["dt"] > Tbar / 10.0
+
+
+@pytest.mark.parametrize("cmd", ["periodic-control", "conjecture-probe"])
+def test_cli_short_horizons_floor_the_speed_window(tmp_path, capsys, cmd):
+    """At T = 5 the speed window T / 20 = 0.25 is shorter than one time step
+    (0.263 periodic, 0.5 probe); it is floored at that step, as a short
+    first glued stage's is, instead of failing the run with exit 2."""
+    rc = cli_main([cmd, "--horizons", "5,10", "--out-dir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    (kind,) = [k for k, e in EXPERIMENTS.items() if e.command == cmd]
+    records = json.loads((tmp_path / f"{kind}.json").read_text())["records"]
+    short = [r for r in records if r["T"] == 5.0]
+    assert short and all(r["s_window"] == r["dt"] > 0.25 for r in short)
 
 
 def test_scaling_first_margin_holds_lowest_target(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 import hjlab
 from hjlab.cli import build_parser
 from hjlab.cli import main as cli_main
-from hjlab.experiments import ExperimentConfig
+from hjlab.experiments import EXPERIMENTS, ExperimentConfig
 
 
 def test_every_export_resolves():
@@ -202,6 +202,21 @@ def test_readme_documents_every_command():
     block = _readme().split("## Command line", 1)[1].split("```")[1]
     documented = re.findall(r"^hjlab (\S+)", block, re.MULTILINE)
     assert documented == list(_subparsers())
+
+
+def test_readme_config_keys_read_by_match_experiments():
+    """The "read by" column of README's config-file table names, for each
+    key, the commands whose EXPERIMENTS row reads it ("all" for the five);
+    `kind` and `out_dir` go to every command."""
+    block = _readme().split("### Config file", 1)[1].split("\n\n", 3)[2]
+    rows = re.findall(r"^\| `(\w+)` \| [^|]* \| ([^|]*) \|", block, re.MULTILINE)
+    commands = {e.command for e in EXPERIMENTS.values()}
+    documented = {key: commands if cell.strip() == "all"
+                  else set(re.findall(r"`([\w-]+)`", cell)) for key, cell in rows}
+    expected = {f.name: {e.command for e in EXPERIMENTS.values() if f.name in e.reads}
+                for f in dataclasses.fields(ExperimentConfig)}
+    expected.update(kind=commands, out_dir=commands)
+    assert documented == expected
 
 
 _RUN_FLAGS = {"--potential", "--t1", "--t2", "--dt", "--v-max", "--out"}
