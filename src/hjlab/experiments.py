@@ -55,17 +55,13 @@ def _typed(value, name: str) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment parameters; the defaults are the CI runs."""
+    """Resolved model and potential parameters; the defaults are the CI runs."""
 
     kind: str = "scaling"
     beta: float = 2.0
     C: float = 1.0
     horizons: Optional[list] = None
     seeds: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
-
-    # grid policy; the rest is fixed, as the module constants below
-    stencil: int = 30              # v_max * dt / dx
-    margin: float = 10.0
 
     # glued-demo schedule
     glue_Tbar: float = 5.0
@@ -93,21 +89,22 @@ class ExperimentConfig:
                 raise ValueError(f"config key {f.name!r} must be {want}, got {value!r}")
         if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not self.margin > 0:
-            # the window's lower edge would sit on the potential edge and cut
-            # the bump off: every minimizer stays static (v = 0)
-            raise ValueError(f"margin must be > 0, got {self.margin}")
-        if not (math.isfinite(self.wavenumber) and self.wavenumber != 0):
+        e = EXPERIMENTS[self.kind]
+        if self.horizons is None:
+            self.horizons = list(e.horizons)
+        self.horizons = [float(T) for T in self.horizons]
+        # a value is checked only where the kind's runner reads it
+        if "wavenumber" in e.reads and not (math.isfinite(self.wavenumber) and self.wavenumber):
             # the periodic halo spans two wavelengths, 4 pi / |k|
             raise ValueError(f"wavenumber must be finite and nonzero, got {self.wavenumber}")
-        if self.horizons is None:
-            self.horizons = list(EXPERIMENTS[self.kind].horizons)
-        self.horizons = [float(T) for T in self.horizons]
-        if any(T <= math.e for T in self.horizons):
-            raise ValueError("all horizons must exceed e (log T > 1)")
-        if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
-            raise ValueError("horizons must be strictly increasing")
-        if len(set(self.seeds)) < len(self.seeds):
+        if "horizons" in e.reads:
+            if not self.horizons:
+                raise ValueError("horizons must not be empty")
+            if any(T <= math.e for T in self.horizons):
+                raise ValueError("all horizons must exceed e (log T > 1)")
+            if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
+                raise ValueError("horizons must be strictly increasing")
+        if "seeds" in e.reads and len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
 
     @property
@@ -184,6 +181,8 @@ DX_MAX = 0.05             # every pipeline's dx (2 * DX_MAX: operator suite, pro
 RT_FRACTION = 40          # scaling: dx = min(DX_MAX, R_T / RT_FRACTION)
 N_TARGETS = 5             # scaling and glued targets across |x| <= R_T / 2
 S_WINDOW_MAX = 0.5        # every pipeline: longest terminal-speed window, floored at dt
+STENCIL = 30              # every pipeline's DP grid: dt = STENCIL * dx / v_max
+MARGIN = 10.0             # window margin below U's edge: scaling raises it, glued as given
 
 
 def edge_grid(cfg: ExperimentConfig, U, t1: float, t2: float, T_pace: float,
@@ -197,7 +196,7 @@ def edge_grid(cfg: ExperimentConfig, U, t1: float, t2: float, T_pace: float,
     K2 = velocity_bound_lower(T_pace, p).K2
     v_max = max(V_CAP_FACTOR * K2 * math.log(T_pace) ** (2.0 / cfg.beta),
                 2.0 * (p.C * p.beta) ** (1.0 / p.beta), 2.0)
-    dt = cfg.stencil * dx / v_max
+    dt = STENCIL * dx / v_max
     grid = GridSpec(x_min=float(U.support_hint(t1)[1]) - margin - 2.0,
                     x_max=x_hi, dx=dx, t1=t1, t2=t2, dt=dt, v_max=v_max)
     cap = max(40.0, DETACH_CAP_FACTOR * math.log(T_pace) ** 2)
@@ -279,7 +278,7 @@ def _scaling_record(cfg: ExperimentConfig, T: float) -> HorizonRecord:
     x_hi = float(max(x_targets.max() + 2 * dx, lb.R_T))
     # the final slice's window starts near -margin: the first attempt holds
     # the lowest target plus the bump's ramp (2 wide) and two cells to spare
-    margin = max(cfg.margin, -float(x_targets.min()) + 2.0 + 2.0 * DX_MAX)
+    margin = max(MARGIN, -float(x_targets.min()) + 2.0 + 2.0 * DX_MAX)
     # window-touch certification: move timing is degenerate in the flat
     # potential plateau, so trajectories may park below the riding band;
     # enlarge the margin and resolve when the certificate trips
@@ -375,7 +374,7 @@ def _periodic_grid(cfg: ExperimentConfig, T: float):
     halo = 4.0 * math.pi / abs(cfg.wavenumber) + 2.0
     v_env = (p.alpha * p.C) ** (1.0 / p.beta)
     v_max = max(4.0 * v_env, 2.0)
-    dt = cfg.stencil * DX_MAX / v_max
+    dt = STENCIL * DX_MAX / v_max
     grid = GridSpec(x_min=float(x_targets.min() - halo),
                     x_max=float(x_targets.max() + halo),
                     dx=DX_MAX, t1=0.0, t2=T, dt=dt, v_max=v_max)
@@ -398,15 +397,16 @@ def run_periodic_control(cfg: ExperimentConfig) -> ScalingReport:
 
     recs, walls = _map_timed(one, cfg.horizons)
     records = [r.to_dict() for r in recs]
-    # no-growth statistic: max over tested terminal x per horizon
+    # no-growth statistic: max over tested terminal x per horizon (flags need two)
     vmax = [max(r["speeds"]) for r in records]
-    ratio = vmax[-1] / vmax[-2] if len(vmax) >= 2 and vmax[-2] > 0 else float("nan")
+    two = len(vmax) >= 2
+    ratio = vmax[-1] / vmax[-2] if two and vmax[-2] > 0 else float("nan")
     monotone_growth = all(b > a for a, b in zip(vmax, vmax[1:]))
 
     suite = _operator_regularity_suite(cfg, U)
     flags = {
-        "ratio_within_10pct": bool(0.9 <= ratio <= 1.1),
-        "no_monotone_growth": not monotone_growth,
+        "ratio_within_10pct": bool(0.9 <= ratio <= 1.1) if two else None,
+        "no_monotone_growth": not monotone_growth if two else None,
         "domination_preserved": suite["domination_ok"],
         "liplarge_bounded": suite["liplarge_ok"],
         "wT_lemma_ok": all(r["wT_margin"] >= 0.0 for r in records),
@@ -428,7 +428,7 @@ def _operator_regularity_suite(cfg: ExperimentConfig, U):
     v_max = 4.0 * (p.alpha * p.C) ** (1.0 / p.beta)
     dx = 2 * DX_MAX
     grid = GridSpec(x_min=-halo, x_max=halo, dx=dx, t1=0.0, t2=cfg.period,
-                    dt=cfg.stencil * dx / v_max, v_max=v_max)
+                    dt=STENCIL * dx / v_max, v_max=v_max)
     kern = kernel(U, 0.0, cfg.period, grid, p)
     S = GridFunction(kern.source_nodes, np.zeros(len(kern.source_nodes)))
     defects, consts = [], []
@@ -485,7 +485,7 @@ def run_glued_demo(cfg: ExperimentConfig) -> ScalingReport:
         x_targets = np.linspace(-lbtop.R_T / 2.0, lbtop.R_T / 2.0, N_TARGETS)
         wgrid = edge_grid(cfg, U, -S_n, 0.0, T_pace, DX_MAX,
                           float(max(x_targets.max() + 2 * DX_MAX, lbtop.R_T)),
-                          cfg.margin)
+                          MARGIN)
         rec = _horizon_record(
             cfg, float(S_n), U, wgrid, x_targets,
             min(S_WINDOW_MAX, sched.stages[0][0] / 10.0),
@@ -596,7 +596,7 @@ def run_lemma_suite(cfg: ExperimentConfig) -> ScalingReport:
                              C=cfg.C, beta=cfg.beta)
         v_max = 6.0
         grid = GridSpec(x_min=-10.0, x_max=10.0, dx=0.1, t1=-20.0, t2=0.0,
-                        dt=cfg.stencil * 0.1 / v_max, v_max=v_max)
+                        dt=STENCIL * 0.1 / v_max, v_max=v_max)
         table = solve_dp(U, grid, None, p)
         traj = _backtrack_inside(table, float(rng.uniform(-3, 3)))
         worst = min(worst, lemma_wT_margin(traj, p, grid.dx))
@@ -686,7 +686,7 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
             v_max = 6.0
             dx = DX_MAX * 2
             grid = GridSpec(x_min=-14.0, x_max=14.0, dx=dx, t1=-T, t2=0.0,
-                            dt=cfg.stencil * dx / v_max, v_max=v_max)
+                            dt=STENCIL * dx / v_max, v_max=v_max)
             s_window = min(S_WINDOW_MAX, T / 20.0)
             records.append(_horizon_record(cfg, T, U, grid, x_targets, s_window,
                                            seed=seed).to_dict())
@@ -717,8 +717,8 @@ class Experiment(NamedTuple):
     """One experiment kind: its runner, its ``hjlab`` command, its default
     horizons, the report flags that fail the command when false and the
     ExperimentConfig fields the runner reads.  Only those fields go into
-    the report's config, may be set in a config file, and get a flag
-    (--horizons, --seeds) when they are lists."""
+    the report's config, may be set in a config file, have their values
+    checked and get a flag (--horizons, --seeds) when they are lists."""
 
     run: Callable[[ExperimentConfig], ScalingReport]
     command: str
@@ -735,24 +735,23 @@ EXPERIMENTS = {
     "scaling": Experiment(run_scaling, "scaling", (50.0, 200.0, 1000.0),
                           ("monotone_v", "onset_found", "wT_lemma_ok",
                            "progression_ok", "fit_in_range"),
-                          ("beta", "C", "horizons", "margin", "stencil")),
+                          ("beta", "C", "horizons")),
     "periodic-control": Experiment(run_periodic_control, "periodic-control",
                                    (100.0, 316.0, 1000.0),
                                    ("ratio_within_10pct", "no_monotone_growth",
                                     "domination_preserved", "liplarge_bounded",
                                     "wT_lemma_ok"),
-                                   ("beta", "C", "horizons", "stencil", "period",
+                                   ("beta", "C", "horizons", "period",
                                     "wavenumber", "modulation")),
     "glued-demo": Experiment(run_glued_demo, "glued-demo", (),
                              ("per_stage_increase", "continuity_ok"),
-                             ("beta", "C", "margin", "stencil", "glue_Tbar",
-                              "glue_n_max")),
+                             ("beta", "C", "glue_Tbar", "glue_n_max")),
     "lemma-suite": Experiment(run_lemma_suite, "check-lemmas", (),
                               ("all_passed",),
-                              ("beta", "C", "stencil", "correlation_time")),
+                              ("beta", "C", "correlation_time")),
     "conjecture-probe": Experiment(run_conjecture_probe, "conjecture-probe",
                                    (20.0, 50.0, 200.0), (),
-                                   ("beta", "C", "horizons", "seeds", "stencil",
+                                   ("beta", "C", "horizons", "seeds",
                                     "correlation_time")),
 }
 

@@ -12,10 +12,11 @@ import pytest
 from hjlab import reports
 from hjlab.cli import main as cli_main
 from hjlab.core import ModelParams
-from hjlab.experiments import (DX_MAX, EXPERIMENTS, N_TARGETS, RT_FRACTION,
-                               ExperimentConfig, HorizonRecord, ScalingReport,
-                               _horizon_record, edge_grid, run_conjecture_probe,
-                               run_glued_demo, run_lemma_suite, run_scaling)
+from hjlab.experiments import (DX_MAX, EXPERIMENTS, MARGIN, N_TARGETS,
+                               RT_FRACTION, ExperimentConfig, HorizonRecord,
+                               ScalingReport, _horizon_record, edge_grid,
+                               run_conjecture_probe, run_glued_demo,
+                               run_lemma_suite, run_scaling)
 from hjlab.laxoleinik import GridFunction, gridfunction_to_csv
 from hjlab.minimizer import DomainError, GridSpec, velocity_bound_lower
 from hjlab.potentials import (accelerating_potential, glued_potential,
@@ -39,12 +40,11 @@ def test_config_validation():
         ExperimentConfig(kind="scaling", horizons=[50.0, 20.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         ExperimentConfig(kind="scaling", horizons=[50.0, 50.0])
-    for margin in (0.0, -1.0):   # the window would cut the bump off: v = 0
-        with pytest.raises(ValueError, match="margin"):
-            ExperimentConfig(kind="scaling", margin=margin)
     for k in (0.0, -0.0, math.inf, -math.inf, math.nan):   # halo 4 pi / |k|
         with pytest.raises(ValueError, match="wavenumber"):
             ExperimentConfig(kind="periodic-control", wavenumber=k)
+    # a value is checked only where the kind's runner reads its field
+    ExperimentConfig(kind="scaling", seeds=[1, 1], wavenumber=0.0)
 
 
 def test_csv_columns_are_record_fields():
@@ -138,7 +138,7 @@ def test_glued_stage1_is_plain_scaling_run():
     x_targets = np.linspace(-lb.R_T / 2.0, lb.R_T / 2.0, N_TARGETS)
     dx = min(DX_MAX, lb.R_T / RT_FRACTION)
     x_hi = float(max(x_targets.max() + 2 * dx, lb.R_T))
-    grids = [edge_grid(cfg, U, -50.0, 0.0, 50.0, dx, x_hi, cfg.margin)
+    grids = [edge_grid(cfg, U, -50.0, 0.0, 50.0, dx, x_hi, MARGIN)
              for U in (glued, accel)]
     assert grids[0].x_min == grids[1].x_min
     assert np.array_equal(grids[0].window.lo, grids[1].window.lo)
@@ -157,7 +157,7 @@ def test_conjecture_probe_deterministic():
     assert canonical_json(r1.to_dict()) == canonical_json(r2.to_dict())
     # pinned bytes of the probe's horizon records (see test_scaling_golden_digest)
     assert _report_digest(r1) == {
-        "json": "198efa6559f1d4a6e61562cf81a184b7177c3ef205ad96e220fd875f9016d37b",
+        "json": "4ded5d0bb908a692660e2170e706e1e613d76b6e40560eb8437ac9d30d8663af",
         "csv": "298ffa067bc736352ca781b67ecdd4f2efa477e52f2f0edc4bca21dba191d2ed"}
     with pytest.raises(ValueError):
         run_conjecture_probe(ExperimentConfig(kind="conjecture-probe",
@@ -223,7 +223,7 @@ def test_scaling_golden_digest():
     incomplete-gamma calls differently and would need its own pin."""
     report = run_scaling(ExperimentConfig(kind="scaling", horizons=[50.0]))
     assert _report_digest(report) == {
-        "json": "b9255ecab1e500ebbd21085a012d7c479b6450cdd185c09ee413ae8b9b6637c0",
+        "json": "32bc8e7ec84490e6266d0fe2aa96f232c568d6128bf248c8cb6eb5150ac3c3e2",
         "csv": "39c3c5b8250c2dd44291eba44afd967f69e5102008d5636633868d514d735be8"}
 
 
@@ -233,7 +233,7 @@ def test_scaling_ci_golden_digest(scaling_report):
     (windows up to 6 657 nodes at T = 1000) and refine's largest arrays;
     same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(scaling_report) == {
-        "json": "59148831d794beb30920f2d38dd97868a20ac087f05b00fb2d1abdc46e61861c",
+        "json": "b4b47c53bc3a5d375b5af5a87588d6d2047b60ccdf459cc2553fa2fbaa6a03ba",
         "csv": "f363bf4e4fbfb17148dbb0df6d43ba1fadb6a66a99da78620d37ee8c7480ded6"}
 
 
@@ -241,7 +241,7 @@ def test_periodic_golden_digest(periodic_report):
     """Pinned CI-profile periodic-control bytes (horizon records and the
     operator suite); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(periodic_report) == {
-        "json": "f1e697b10ddce07d87964841060db73625d169499eb03cf73489b8d7f703f6ed",
+        "json": "0a3513c2504b5f59fac6367c101ece6fadd27294c83ee9471c4103bc67c5fa71",
         "csv": "9b2e9918764cc826ae055db69b39e6563a3a0c7e58bc36291ab7b9ff1d46b235"}
 
 
@@ -249,7 +249,7 @@ def test_glued_golden_digest(glued_report):
     """Pinned CI-profile glued-demo bytes (per-stage records, continuity
     note); same platform caveat as test_scaling_golden_digest."""
     assert _report_digest(glued_report) == {
-        "json": "c26ba1d151e23481e989391e5bc4f37429f21364ec9514ce98b5c35ef171a483",
+        "json": "f0487ea117259dcd07b5dcdccadaf6cbb4ae305ee8885c30d14349efa2188745",
         "csv": "cb5615e6ebcb4bb6aba02883cdb4d63306c386552ec6a48470d3804c52c38f4c"}
 
 
@@ -309,11 +309,13 @@ def test_runner_reads_exactly_its_row(kind):
 
 def test_unread_config_field_leaves_report_bytes(lemma_report):
     """Two lemma-suite configs that differ only in fields it does not read
-    give byte-identical JSON."""
-    other = run_lemma_suite(ExperimentConfig(kind="lemma-suite",
-                                             seeds=[9, 8, 7, 6, 5], period=3.0,
-                                             wavenumber=2.0, horizons=[50.0]))
-    assert canonical_json(other.to_dict()) == canonical_json(lemma_report.to_dict())
+    give byte-identical JSON, also where the value would be refused in a
+    field the kind reads (wavenumber 0, a repeated seed)."""
+    for unread in ({"seeds": [9, 8, 7, 6, 5], "period": 3.0, "wavenumber": 2.0,
+                    "horizons": [50.0]},
+                   {"wavenumber": 0.0, "seeds": [1, 1]}):
+        other = run_lemma_suite(ExperimentConfig(kind="lemma-suite", **unread))
+        assert canonical_json(other.to_dict()) == canonical_json(lemma_report.to_dict())
 
 
 # ---------------------------------------------------------------- CLI
@@ -410,7 +412,7 @@ def test_cli_deleted_config_key_exit_2(tmp_path, capsys):
                "detach_cap_factor": 4.0, "refine_passes": 8, "n_targets": 5,
                "s_window_max": 0.5, "glue_cap": 600.0, "glue_epsilon": 0.25,
                "n_profiles": 3, "periodic_targets": [0.5, 1.5, 2.5],
-               "profile": "large"}
+               "profile": "large", "stencil": 30, "margin": 10.0}
     cfgfile = tmp_path / "old.json"
     for key, value in deleted.items():
         cfgfile.write_text(json.dumps({key: value}))
@@ -456,7 +458,7 @@ def test_cli_unread_config_key_exit_2(tmp_path, monkeypatch, capsys):
             assert err.startswith("configuration error:") and repr(key) in err
             assert not out.exists()
             checked += 1
-    assert checked == 60 - 28
+    assert checked == 50 - 21
 
 
 def test_cli_repeated_seeds_exit_2(tmp_path, monkeypatch, capsys):
@@ -472,6 +474,22 @@ def test_cli_repeated_seeds_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: seeds must be distinct")
     assert not (tmp_path / "conjecture-probe.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["scaling", "periodic-control", "conjecture-probe"])
+def test_cli_empty_horizons_exit_2(tmp_path, monkeypatch, capsys, cmd):
+    """An empty horizons list is a configuration error that names the key,
+    before any work: scaling would write an empty report, periodic-control
+    index its missing first horizon and the probe take max() of nothing."""
+    import hjlab.cli
+
+    monkeypatch.setattr(hjlab.cli, "run_experiment", _no_run)
+    cfgfile = tmp_path / "empty.json"
+    cfgfile.write_text(json.dumps({"horizons": []}))
+    out = tmp_path / "out"
+    assert cli_main([cmd, "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: horizons must not be empty\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd, text", [
@@ -497,7 +515,7 @@ def test_cli_malformed_config_exit_2(tmp_path, monkeypatch, capsys, cmd, text):
 @pytest.mark.parametrize("cmd, key, value", [
     ("check-lemmas", "beta", "2"),
     ("scaling", "C", True),
-    ("scaling", "margin", None),
+    ("scaling", "beta", None),
     ("glued-demo", "glue_n_max", 2.5),
     ("periodic-control", "modulation", 5),
     ("scaling", "horizons", 50),
@@ -655,13 +673,13 @@ def test_cli_empty_interval_exit_2(tmp_path, capsys, cmd):
     assert not out.exists()
 
 
-def test_cli_failed_runs_exit_1(tmp_path, capsys):
-    # WindowTouchError: the glued demo windows with the configured margin as
-    # given, and at 0.05 its final slice starts above the lowest target (-0.25)
-    cfgfile = tmp_path / "tight.json"
-    cfgfile.write_text(json.dumps({"margin": 0.05}))
-    assert cli_main(["glued-demo", "--config", str(cfgfile),
-                     "--out-dir", str(tmp_path)]) == 1
+def test_cli_failed_runs_exit_1(tmp_path, monkeypatch, capsys):
+    # WindowTouchError: the glued demo windows with MARGIN as given, and at
+    # 0.05 its final slice starts above the lowest target (-0.25)
+    import hjlab.experiments
+
+    monkeypatch.setattr(hjlab.experiments, "MARGIN", 0.05)
+    assert cli_main(["glued-demo", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "window edge" in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -679,9 +697,7 @@ def test_glued_targets_and_grid_share_the_pace_horizon(monkeypatch):
         return edge_grid(cfg, U, t1, t2, T_pace, *rest)
 
     monkeypatch.setattr(hjlab.experiments, "edge_grid", spy)
-    # stencil 5 keeps dt under the stage's 0.2 speed window
-    cfg = ExperimentConfig(kind="glued-demo", glue_Tbar=2.0, glue_n_max=1,
-                           stencil=5)
+    cfg = ExperimentConfig(kind="glued-demo", glue_Tbar=2.0, glue_n_max=1)
     (rec,) = run_glued_demo(cfg).records
     assert rec["extra"]["T_stage"] == 2.0 and paces == [3.0]
     assert max(rec["targets"]) == velocity_bound_lower(3.0, cfg.params).R_T / 2.0
@@ -714,11 +730,24 @@ def test_cli_short_horizons_floor_the_speed_window(tmp_path, capsys, cmd):
     assert short and all(r["s_window"] == r["dt"] > 0.25 for r in short)
 
 
+def test_cli_periodic_single_horizon_skips_comparisons(tmp_path, capsys):
+    """ratio_within_10pct and no_monotone_growth compare horizons: on one
+    horizon both are None, print "skipped" and fail nothing, as scaling's
+    fit_in_range does below three horizons."""
+    rc = cli_main(["periodic-control", "--horizons", "100", "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    flags = json.loads((tmp_path / "periodic-control.json").read_text())["flags"]
+    for name in ("ratio_within_10pct", "no_monotone_growth"):
+        assert flags[name] is None
+        assert f"[periodic-control] {name}: skipped" in out
+
+
 def test_scaling_first_margin_holds_lowest_target(monkeypatch):
     """At T = 60 the final slice starts near -margin and the lowest target
-    is -R_T/2 = -0.65.  A configured margin of 0.1 is raised at once to hold
-    that target plus the bump's ramp (2) and two cells (2 DX_MAX), and the
-    speeds equal those of the default margin-10 run within grid_slack."""
+    is -R_T/2 = -0.65.  A MARGIN of 0.1 is raised at once to hold that
+    target plus the bump's ramp (2) and two cells (2 DX_MAX), and the
+    speeds equal those of the default MARGIN = 10 run within grid_slack."""
     import hjlab.experiments
 
     margins = []
@@ -729,8 +758,9 @@ def test_scaling_first_margin_holds_lowest_target(monkeypatch):
 
     monkeypatch.setattr(hjlab.experiments, "edge_grid", spy)
     recs = {}
+    cfg = ExperimentConfig(kind="scaling", horizons=[60.0])
     for margin in (0.1, 10.0):
-        cfg = ExperimentConfig(kind="scaling", horizons=[60.0], margin=margin)
+        monkeypatch.setattr(hjlab.experiments, "MARGIN", margin)
         (recs[margin],) = run_scaling(cfg).records
     R_T = velocity_bound_lower(60.0, cfg.params).R_T
     assert margins == [pytest.approx(R_T / 2.0 + 2.0 + 2.0 * DX_MAX), 10.0]

@@ -250,6 +250,19 @@ def test_cli_surface_is_pinned():
     assert sum(map(len, surface.values())) == 60
 
 
+def test_config_surface_is_pinned():
+    """ExperimentConfig holds the model's parameters and the potential under
+    study, 11 fields, and the EXPERIMENTS rows read 21 of them in all, so a
+    new config knob is a deliberate edit here."""
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "kind", "beta", "C", "horizons", "seeds", "glue_Tbar", "glue_n_max",
+        "period", "wavenumber", "modulation", "correlation_time"]
+    reads = {kind: len(e.reads) for kind, e in EXPERIMENTS.items()}
+    assert reads == {"scaling": 3, "periodic-control": 6, "glued-demo": 4,
+                     "lemma-suite": 3, "conjecture-probe": 5}
+    assert sum(reads.values()) == 21
+
+
 # a valid command line for each subcommand (parsed, never run)
 _VALID_ARGV = {
     "minimize": ["--potential", "p", "--t1", "0", "--t2", "1", "--dt", "0.1",
