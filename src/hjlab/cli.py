@@ -211,8 +211,13 @@ def _cmd_experiment(kind, args) -> int:
         raise ConfigError(f"{e.command} does not read config key(s) "
                           f"{', '.join(map(repr, unread))}; it reads {', '.join(e.reads)}")
     for key, typ in _LIST_FLAGS.items():
-        if key in e.reads and getattr(args, key):
-            merged[key] = [typ(x) for x in getattr(args, key).split(",")]
+        text = getattr(args, key, None)
+        if key in e.reads and text is not None:
+            try:
+                merged[key] = [typ(x) for x in text.split(",")]
+            except ValueError:
+                raise ConfigError(f"--{key} must be a comma-separated {key[:-1]} "
+                                  f"list, got {text!r}") from None
     report = run_experiment(ExperimentConfig(**merged))
     paths = emit(report, out_dir)
     hard = HARD_FLAGS[kind]

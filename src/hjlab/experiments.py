@@ -695,21 +695,26 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> ScalingReport:
     per_seed, walls = _map_timed(seed_records, sorted(cfg.seeds))
     records = sorted((r for recs in per_seed for r in recs),
                      key=lambda r: (r["T"], r["seed"]))
-    # plateau statistic per seed: v at the largest horizon over v at the smallest
-    plateau = {}
+    # plateau statistic per seed: v at the largest horizon over v at the
+    # smallest; it compares horizons, so on one horizon it is None
+    plateau = None
     T_lo = min(cfg.horizons)
-    for seed in sorted(cfg.seeds):
-        v_hi = next(r["v"] for r in records
-                    if r["seed"] == seed and r["T"] == T_max)
-        v_lo = next(r["v"] for r in records
-                    if r["seed"] == seed and r["T"] == T_lo)
-        plateau[str(seed)] = float(v_hi / v_lo) if v_lo > 0 else float("nan")
+    if len(cfg.horizons) >= 2:
+        plateau = {}
+        for seed in sorted(cfg.seeds):
+            v_hi = next(r["v"] for r in records
+                        if r["seed"] == seed and r["T"] == T_max)
+            v_lo = next(r["v"] for r in records
+                        if r["seed"] == seed and r["T"] == T_lo)
+            plateau[str(seed)] = float(v_hi / v_lo) if v_lo > 0 else float("nan")
     flags = {"exploratory": True,
              "plateau_statistic": plateau}
     return ScalingReport(kind=cfg.kind, config=cfg.to_dict(),
                          records=records, flags=flags,
                          notes=["exploratory probe: no pass/fail; plateau "
-                                "statistic is v(T_max)/v(T_min) per seed"],
+                                + ("statistic is v(T_max)/v(T_min) per seed"
+                                   if plateau is not None else
+                                   "statistic skipped: it needs two horizons")],
                          wall_times=walls)
 
 

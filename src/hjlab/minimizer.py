@@ -12,7 +12,9 @@ backtracked trajectories never touch window edges.
 
 from __future__ import annotations
 
+import contextvars
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -41,13 +43,14 @@ __all__ = [
     "enumerate_paths",
 ]
 
-# solve_dp relaxes slices narrower than this by a row-wise argmin and wider
-# ones by a running scan over shifted rows; on recorded scaling-run slices
-# the two cost the same per cell-offset at 2500-2750 targets, measured at the
-# full stencil (30).  A shorter reach moves the crossover down: at reach 6 the
-# two tie near 500 targets, at reach 15 near 2000 (2-vCPU Xeon), but scaling
-# runs' narrow slices sit near 400 targets at reach 6, so a rule gains little
-_DP_SCAN_WIDTH = 2600
+# solve_dp relaxes target runs narrower than this by a column-wise minimum
+# and wider ones by a running scan over shifted rows.  Both timed back to
+# back (best of 3) on every scaling-ci slice of 1500-6000 targets, the
+# column minimum took 0.98-1.09x the scan's time at 1500-2000 targets,
+# 0.82-0.87x at 2000-3000 and 1.07-1.45x at 3000-6000 (2-vCPU Xeon).  By
+# reach, below 3000 targets it took 1.03x at reach 8-15 and 0.86-0.89x at
+# 16-31, above it 1.16x and 1.28-1.37x, so a reach-blind width gains little
+_DP_SCAN_WIDTH = 3000
 # solve_dp_batched relaxes this many rows at a time through one padded
 # buffer; on 411-node kernel slices (stencil 16, 2 MB L2 per core) 64-128
 # rows cost the same per cell-offset, fewer rows pay per-call overhead and
@@ -207,13 +210,34 @@ def _transition_costs(grid: GridSpec, beta: float) -> np.ndarray:
     return np.abs(offs * grid.dx) ** beta / (beta * grid.dt_eff ** (beta - 1.0))
 
 
+def _slope(a, k, out=None) -> float:
+    """D = max |a[i+1] - a[i]| along the last axis of the source values
+    ``a`` of slice k (0 with no difference); ``out`` receives the
+    differences' magnitudes (the shape of ``a[..., 1:]``).  D is not finite
+    when ``a`` holds an infinite cell (inf - inf is NaN: the caller ignores
+    invalid and overflow).
+
+    A NaN in ``a`` raises :class:`DomainError`: the column minimum, the
+    scan and ``np.minimum`` would each treat a NaN candidate differently.
+    A NaN makes D NaN, so ``a`` is scanned for one only when D is not
+    finite (+inf cells, say) or holds no difference (a one-node slice).
+    """
+    d = np.subtract(a[..., 1:], a[..., :-1], out=out)
+    D = float(np.abs(d, out=d).max(initial=0.0))
+    if not (math.isfinite(D) and d.size) and np.isnan(a).any():
+        raise DomainError(f"NaN source value at slice {k}: the potential is "
+                          "not a number there")
+    return D
+
+
 def _reach(costs, a, k, out=None) -> int:
     """Largest offset the slope of the source values ``a`` of slice k leaves
     in play.
 
-    With D = max |a[i+1] - a[i]| along the last axis, this is the largest o
-    with costs[o] < o D (1 + 1e-12), costs[o] the cost of offset o; 0 when no
-    o qualifies and m = len(costs) - 1 when D is not finite.  Each offset is
+    With D = max |a[i+1] - a[i]| along the last axis (:func:`_slope`, which
+    raises :class:`DomainError` on a NaN), this is the largest o with
+    costs[o] < o D (1 + 1e-12), costs[o] the cost of offset o; 0 when no o
+    qualifies and m = len(costs) - 1 when D is not finite.  Each offset is
     tested, so float costs need not be convex.  Every offset |o| beyond it
     loses to offset 0 at a target j whose offset-0 source lies in ``a``:
     a[j+o] + costs[o] >= a[j] - |o| D + costs[o] >= a[j] in real arithmetic
@@ -222,23 +246,69 @@ def _reach(costs, a, k, out=None) -> int:
     an earlier minimum.  So a sweep that skips those offsets keeps every
     value and argmin bit for bit.  ``out`` receives the differences (the
     shape of ``a[..., 1:]``).
-
-    A NaN in ``a`` raises :class:`DomainError`: the argmin, the scan and
-    ``np.minimum`` would each treat a NaN candidate differently.  A NaN makes
-    D NaN, so ``a`` is scanned for one only when D is not finite (+inf
-    cells, say) or holds no difference (a one-node slice).
     """
     m = len(costs) - 1
     with np.errstate(invalid="ignore", over="ignore"):   # inf - inf: NaN
-        d = np.subtract(a[..., 1:], a[..., :-1], out=out)
-        D = float(np.abs(d, out=d).max(initial=0.0))
-    if not (math.isfinite(D) and d.size):
-        if np.isnan(a).any():
-            raise DomainError(f"NaN source value at slice {k}: the potential is "
-                              "not a number there")
-        if not math.isfinite(D):
-            return m
+        D = _slope(a, k, out)
+    if not math.isfinite(D):
+        return m
     return next((o for o in range(m, 0, -1) if costs[o] < o * D * (1.0 + 1e-12)), 0)
+
+
+def _reach_table(costs) -> list:
+    """The reach of every source distance as thresholds on the slope, built
+    once per sweep: row d (d = 0..m) lists, for e = 1..m-d, the least t_e
+    such that D > t_e exactly when some e' >= e passes the float test
+    costs[d+e'] - costs[d] < e' D (1 + 1e-12).  Each test grows with D
+    (rounding is monotone), so a pass is D above one float threshold, found
+    by stepping the quotient to the float boundary; the row is the suffix
+    minima of those thresholds, non-decreasing, and ``bisect_left(row, D)``
+    is the largest e that passes (0 if none).  An overflowing cost makes a
+    step +inf or NaN, which passes for no D (threshold +inf), or -inf,
+    which passes for every D (threshold -inf).  Row 0 is :func:`_reach`'s
+    test, since costs[0] = 0.
+    """
+    c = np.asarray(costs, dtype=float)
+    m = len(c) - 1
+    d, j = np.triu_indices(m + 1, 1)             # every pair d < j = d + e <= m
+    e = (j - d).astype(float)
+
+    def passes(D):
+        return step < e * D * (1.0 + 1e-12)
+
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, e D
+        step = c[j] - c[d]
+        t = np.where(step < np.inf, step / (e * (1.0 + 1e-12)), np.inf)
+        while (down := passes(t)).any():
+            t[down] = np.nextafter(t[down], -np.inf)
+        while (up := np.isfinite(t) & ~passes(np.nextafter(t, np.inf))).any():
+            t[up] = np.nextafter(t[up], np.inf)
+    rows = np.split(t, np.cumsum(np.arange(m, 0, -1))[:-1].tolist()) + [t[:0]]
+    return [np.minimum.accumulate(r[::-1])[::-1].tolist() for r in rows]
+
+
+def _run_reach(table, a, k, out):
+    """The finite run of the source values ``a`` of slice k, and the reach
+    that certifies the targets on it: (i0, i1, D, r), where a[i0:i1] are
+    the finite cells (i0 = i1 when there are none), every other cell is
+    +inf, D is the largest step inside the run and r = ``bisect_left(
+    table[0], D)`` (:func:`_reach_table`), which is :func:`_reach` of the
+    run.  None when the finite cells are not one run between +inf cells, or
+    a step inside it overflows.  ``out`` receives the steps' magnitudes; a
+    NaN raises :class:`DomainError` (:func:`_slope`).  Runs with invalid
+    and overflow ignored (the steps of +inf cells).
+    """
+    D = _slope(a, k, out)
+    i0, i1 = 0, len(a)
+    if not math.isfinite(D) or (i1 == 1 and not math.isfinite(a[0])):
+        fin = np.flatnonzero(np.isfinite(a))
+        i0, i1 = (int(fin[0]), int(fin[-1]) + 1) if len(fin) else (0, 0)
+        if i1 - i0 != len(fin) or np.isneginf(a).any():
+            return None
+        D = float(out[i0:max(i0, i1 - 1)].max(initial=0.0))
+        if not math.isfinite(D):
+            return None
+    return i0, i1, D, bisect_left(table[0], D)
 
 
 def _kicks(U: PotentialField, grid: GridSpec, bounds):
@@ -303,33 +373,54 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     priority order (|offset|, offset): 0, -1, +1, ..., -m, +m.  On narrow
     slices the two half stencils of the padded slice, offsets 0, -1, ..., -m
     (a reversed strided view) and 0, +1, ..., +m, are written interleaved into
-    one row per target, 0, 0, -1, +1, ..., -m, +m; the row's ``argmin``
-    (its first minimum) is then the priority argmin, column c holding the
-    offset (c // 2) with the sign of column parity.  On wide slices a
-    strict-``<`` running scan visits the shifted contiguous rows of the
-    padded slice in the same order (fewer numpy calls per cell against
-    better cache use).  Both give the same values and offsets, bit for bit.
-    Both halves use one cost row, since the cost is symmetric in the offset.
+    the rows of one array, 0, 0, -1, +1, ..., -m, +m, one column per target;
+    the column's minimum is the target's value, and the first row equal to
+    it is the priority argmin, which a table maps to the offset (no
+    candidate is NaN or -0, so the minimum is one candidate's bits).  On
+    wide slices a strict-``<`` running scan visits the shifted contiguous
+    rows of the padded slice in the same order (fewer numpy calls per cell
+    against better cache use).  Both give the same values and offsets, bit
+    for bit.  Both halves use one cost row, since the cost is symmetric in
+    the offset.
 
-    Each slice visits only the offsets up to its certified reach
-    (:func:`_reach` of the slice's source values): an offset past it cannot
-    beat offset 0, so the values and offsets are those of the full stencil,
-    bit for bit.  Two cases keep the full stencil: a slice whose source
-    values have a non-finite step (+inf cells still filling in, say after a
-    co-moving window's detachment-cap jump), and the targets whose offset-0
-    source lies outside the source slice (the strips at moving window edges).
+    Each slice is relaxed once, over the offsets its targets' distances from
+    the source slice's finite run leave in play (:func:`_run_reach`; the run
+    is the whole slice once every cell is reachable).  With D the largest
+    step inside the run and c the cost row, a target d cells from the run
+    needs the offsets up to d + e_d, where e_d is the largest e with
+    c[d+e] - c[d] < e D (1 + 1e-12) in floats (0 if none; d = 0 on the run,
+    where this is :func:`_reach` of the run).  Proof: a finite candidate at
+    |o| = d + e reads a run cell e cells further in than the target's
+    nearest one, n, so in real arithmetic a[n -+ e] + c[d+e] >= a[n] - e D
+    + c[d+e] >= a[n] + c[d] whenever the test fails (the factor covers the
+    rounding of D and of the difference); rounding is monotone, and under
+    the (|o|, o) priority the later tie never displaces the candidate of n.
+    Cells outside the run are +inf, so a target more than m cells from it is
+    +inf with offset 0 and is not relaxed; the others are relaxed together
+    up to the largest offset any of them needs, which changes nothing for
+    those that need fewer.  So the values and offsets are those of the full
+    stencil, bit for bit.  The thresholds of these tests are built once per
+    sweep (:func:`_reach_table`).  A source slice whose finite cells are not
+    one run between +inf cells, or whose run has an overflowing step,
+    relaxes every target over the full stencil.
+
     The potential is evaluated once per block of consecutive slices
-    (:func:`_kicks`), and each slice's values and offsets are written in
-    place.  A NaN in S0 raises ``ValueError`` and a NaN potential value
-    raises :class:`DomainError` (found by :func:`_reach`), since a NaN has no
-    place in that order.
+    (:func:`_kicks`), each slice's source values are written straight into
+    the padded buffer, and each slice's values and offsets are written in
+    place.  Only the steps of the source values are taken with invalid and
+    overflow ignored (the steps of +inf cells), so the potential's own
+    warnings surface.  A NaN in S0 raises ``ValueError`` and a NaN
+    potential value raises :class:`DomainError` (found by :func:`_slope`),
+    since a NaN has no place in that order.
     """
     n_steps = grid.n_steps
     m = grid.stencil
     n_x = grid.n_x
-    bounds = ([(int(a), int(b)) for a, b in zip(grid.window.lo.tolist(),
-                                                 grid.window.hi.tolist())]
-              if grid.window is not None else [(0, n_x - 1)] * (n_steps + 1))
+    if grid.window is not None:
+        los, his = grid.window.lo, grid.window.hi
+    else:
+        los, his = np.zeros(n_steps + 1, np.int64), np.full(n_steps + 1, n_x - 1)
+    bounds = list(zip(los.tolist(), his.tolist()))
     lo0, hi0 = bounds[0]
 
     if S0 is None:
@@ -341,72 +432,106 @@ def solve_dp(U: PotentialField, grid: GridSpec,
     if np.isnan(prev).any():
         raise ValueError("S0 is not a number at some node")
 
-    if grid.window is not None:
-        w = grid.window
-        # every slice must offer at least one admissible transition pair
-        if np.any(w.lo[1:] > w.hi[:-1] + m) or np.any(w.hi[1:] < w.lo[:-1] - m):
-            raise DomainError("window excludes all sources for every target slice")
+    # every slice must offer at least one admissible transition pair
+    if np.any(los[1:] > his[:-1] + m) or np.any(his[1:] < los[:-1] - m):
+        raise DomainError("window excludes all sources for every target slice")
 
     half = _transition_costs(grid, p.beta)[m:]     # cost of offsets 0..m
-    costs = half.tolist()
+    table = _reach_table(half.tolist())
     off_dtype = np.int8 if m <= 127 else np.int16
-    W_max = max(hi - lo + 1 for lo, hi in bounds[1:])
-    buf = np.empty(W_max + 2 * m)
-    view = sliding_window_view(buf, 2 * m + 1)     # row j: sources j-m..j+m
-    diffs = np.empty(max(hi - lo for lo, hi in bounds[:-1]))
-    # narrow pieces: a (W, 2r+2) row j holds the candidates of offsets
-    # 0, 0, -1, +1, ..., -r, +r
-    W_narrow = min(W_max, _DP_SCAN_WIDTH)
-    cells = np.empty(W_narrow * (2 * m + 2))
-    row_ids = np.arange(W_narrow)
+    # buf[i] holds node base + i, base = min(lo_s, lo_t - m): the source
+    # slice and every target's stencil
+    base = np.minimum(los[:-1], los[1:] - m)
+    buf = np.empty(int((np.maximum(his[:-1], his[1:] + m) + 1 - base).max()))
+    diffs = np.empty(int((his[:-1] - los[:-1]).max()))
+    # narrow runs: row 2q of cand holds the candidates of offset -q and
+    # row 2q + 1 those of +q, one column per target, so rows run 0, 0, -1,
+    # +1, ..., -r, +r and row c has offset row_off[c]; hits marks the
+    # candidates equal to their column's minimum.  Column i of row
+    # m + o of stencils is buf[i + m + o], the source of offset o of the
+    # target whose stencil starts at buf[i]; lanes[r] holds the two half
+    # stencils of reach r and their costs
+    W_narrow = min(int((his[1:] - los[1:]).max()) + 1, _DP_SCAN_WIDTH)
+    cand = np.empty((2 * m + 2) * W_narrow)
+    hits = np.empty((2 * m + 2) * W_narrow, dtype=bool)
+    row_off = np.array([(c >> 1) * (-1, 1)[c & 1] for c in range(2 * m + 2)], dtype=off_dtype)
+    stencils = sliding_window_view(buf, 2 * m + 1).T
+    lanes = [(stencils[m - r:m + 1][::-1], stencils[m:m + r + 1], half[:r + 1, None])
+             for r in range(m + 1)]
+    # _run_reach alone runs with invalid and overflow ignored (the steps of
+    # +inf cells), in a copy of the context (numpy 2 keeps np.errstate in a
+    # context variable), so the potential's own warnings surface and no
+    # slice pays the 1.5 us of entering np.errstate
+    with np.errstate(invalid="ignore", over="ignore"):
+        quiet = contextvars.copy_context()
 
-    def relax(j0, j1, r, best, off):
+    def relax(i, j0, j1, r, best, off):
         """Priority argmin over the offsets -r..r of the targets j0..j1-1,
-        written into best[j0:j1] and off[j0:j1]."""
+        whose stencils start at buf[i + j0], written into best[j0:j1] and
+        off[j0:j1]."""
         W = j1 - j0
         if W >= _DP_SCAN_WIDTH:
-            _priority_scan(buf[m - r + j0:m + r + j1], half[:r + 1], best[j0:j1], off[j0:j1])
+            _priority_scan(buf[i + j0 + m - r:i + j1 + m + r], half[:r + 1],
+                           best[j0:j1], off[j0:j1])
             return
-        pairs = cells[:W * (2 * r + 2)].reshape(W, r + 1, 2)
-        np.add(view[j0:j1, m - r:m + 1][:, ::-1], half[:r + 1], out=pairs[:, :, 0])
-        np.add(view[j0:j1, m:m + r + 1], half[:r + 1], out=pairs[:, :, 1])
-        rows = pairs.reshape(W, 2 * r + 2)
-        col = np.argmin(rows, axis=1)
-        cells.take(row_ids[:W] * (2 * r + 2) + col, out=best[j0:j1])
-        o = (col >> 1).astype(off_dtype)
-        off[j0:j1] = np.where(col & 1, o, -o)
+        neg, pos, costs = lanes[r]
+        c = cand[:(2 * r + 2) * W].reshape(r + 1, 2, W)
+        np.add(neg[:, i + j0:i + j1], costs, out=c[:, 0])
+        np.add(pos[:, i + j0:i + j1], costs, out=c[:, 1])
+        rows = c.reshape(2 * r + 2, W)
+        low = np.minimum.reduce(rows, axis=0, out=best[j0:j1])
+        first = np.equal(rows, low, out=hits[:(2 * r + 2) * W].reshape(2 * r + 2, W))
+        row_off.take(first.argmax(axis=0), out=off[j0:j1], mode="clip")
+
+    def need(d0, d1, D):
+        """Largest offset the targets d0..d1 cells from the run need."""
+        return max(d + bisect_left(table[d], D) for d in range(d0, d1 + 1))
 
     offsets = []
     for k, kick in enumerate(_kicks(U, grid, bounds[:-1])):
         lo_s, hi_s = bounds[k]
         lo_t, hi_t = bounds[k + 1]
         W_t = hi_t - lo_t + 1
-        adjusted = prev - kick
-        r = _reach(costs, adjusted, k, diffs[:len(adjusted) - 1])
+        b = min(lo_s, lo_t - m)
+        a = buf[lo_s - b:hi_s + 1 - b]
+        np.subtract(prev, kick, out=a)
+        plan = quiet.run(_run_reach, table, a, k, diffs[:hi_s - lo_s])
 
-        # buf[i] holds source node lo_t - m + i, +inf outside the slice
-        buf[:W_t + 2 * m] = np.inf
-        shift = lo_s - (lo_t - m)
-        b_lo, b_hi = max(0, shift), min(W_t + 2 * m, shift + len(adjusted))
-        if b_lo < b_hi:
-            buf[b_lo:b_hi] = adjusted[b_lo - shift:b_hi - shift]
+        # targets t0..t1-1, within m of the run, are relaxed up to reach R,
+        # the others are +inf with offset 0; c0..c1-1 are on the run
+        c0 = c1 = 0
+        if plan is None:
+            t0, t1, R = 0, W_t, m
+        else:
+            i0, i1, D, R = plan
+            f0, f1 = lo_s + i0 - lo_t, lo_s + i1 - lo_t   # the run, as targets
+            t0, t1 = max(0, f0 - m), min(W_t, f1 + m)
+            if i0 == i1 or t0 >= t1:
+                t0 = t1 = 0
+            c0 = min(max(f0, t0), t1)
+            c1 = max(min(f1, t1), c0)
+            if t0 < c0:
+                R = max(R, need(f0 - c0 + 1, f0 - t0, D))
+            if c1 < t1:
+                R = max(R, need(c1 - f1 + 1, t1 - f1, D))
 
-        # the reach certifies targets c0..c1-1, whose offset-0 source lies in
-        # the source slice; the strips past it, at moving window edges, keep
-        # the full stencil
-        c0 = min(max(0, lo_s - lo_t), W_t)
-        c1 = max(min(W_t, hi_s - lo_t + 1), c0)
-        pieces = [(0, c0, m), (c0, c1, r), (c1, W_t, m)] if r < m else [(0, W_t, m)]
+        # +inf outside the source slice, over the relaxed targets' stencils
+        i = lo_t - m - b
+        buf[min(i + t0, lo_s - b):lo_s - b] = np.inf
+        buf[hi_s + 1 - b:max(i + t1 + 2 * m, hi_s + 1 - b)] = np.inf
         best = np.empty(W_t)
         off = np.empty(W_t, dtype=off_dtype)
-        for j0, j1, reach in pieces:
-            if j0 < j1:
-                relax(j0, j1, reach, best, off)
+        if t0 or t1 < W_t:
+            best[:t0] = best[t1:] = np.inf
+            off[:t0] = off[t1:] = 0
+        if t0 < t1:
+            relax(i, t0, t1, R, best, off)
 
         # +inf targets are cells not yet reachable within the window band
         # (or outside a Dirac cone); they fill in as the cone expands.  A
-        # fully disconnected slice is a genuine misconfiguration.
-        if not np.any(np.isfinite(best)) and np.any(np.isfinite(prev)):
+        # fully disconnected slice is a genuine misconfiguration.  A target
+        # on the run is finite (its offset-0 candidate is).
+        if c0 == c1 and not np.isfinite(best).any() and np.isfinite(prev).any():
             raise DomainError(f"window excludes all sources at slice {k + 1}")
         offsets.append(off)
         prev = best

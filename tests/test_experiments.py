@@ -492,6 +492,25 @@ def test_cli_empty_horizons_exit_2(tmp_path, monkeypatch, capsys, cmd):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("scaling", "--horizons", ""),
+    ("scaling", "--horizons", "50,,200"),
+    ("conjecture-probe", "--seeds", "1,,2"),
+])
+def test_cli_malformed_list_flag_exit_2(tmp_path, monkeypatch, capsys, cmd, flag, value):
+    """Every value of a list flag is parsed: an empty flag is not taken as
+    absent (which would run the default horizons) and an empty item is a
+    configuration error that names the flag, before any work."""
+    import hjlab.cli
+
+    monkeypatch.setattr(hjlab.cli, "run_experiment", _no_run)
+    out = tmp_path / "out"
+    assert cli_main([cmd, flag, value, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {flag} must be a comma-separated")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd, text", [
     ("scaling", "[1]"),                          # not a JSON object
     ("check-lemmas", '{"out_dir": 5}'),         # failed in emit, after the run
@@ -741,6 +760,17 @@ def test_cli_periodic_single_horizon_skips_comparisons(tmp_path, capsys):
     for name in ("ratio_within_10pct", "no_monotone_growth"):
         assert flags[name] is None
         assert f"[periodic-control] {name}: skipped" in out
+
+
+def test_cli_probe_single_horizon_skips_plateau(tmp_path, capsys):
+    """The plateau statistic compares horizons: on one horizon it is None
+    and the note says so, rather than v(T) / v(T) = 1.0 for every seed."""
+    rc = cli_main(["conjecture-probe", "--horizons", "5", "--out-dir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "conjecture-probe.json").read_text())
+    assert report["flags"]["plateau_statistic"] is None
+    assert report["notes"] == ["exploratory probe: no pass/fail; plateau "
+                               "statistic skipped: it needs two horizons"]
 
 
 def test_scaling_first_margin_holds_lowest_target(monkeypatch):

@@ -1,5 +1,7 @@
+import bisect
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,26 +229,47 @@ def _dyadic_walk(draw, n, start):
     return start + np.cumsum([0] + steps) / 16.0
 
 
+def _draw_shifting_window(draw, g, min_width=1):
+    """g with a window of fixed width at least min_width that shifts by up
+    to the stencil each slice, clipped to the grid."""
+    n_x, n_steps, m = g.n_x, g.n_steps, g.stencil
+    width = draw(st.integers(min(min_width, n_x), n_x))
+    lo = np.clip(draw(st.integers(0, n_x - width))
+                 + draw(st.integers(-m, m)) * np.arange(n_steps + 1), 0, n_x - width)
+    return g.with_window(Window(lo=lo, hi=lo + width - 1))
+
+
 @st.composite
 def smooth_dp_instances(draw):
     """Smooth-valued sibling of :func:`tie_heavy_dp_instances`: every row of
-    the tabulated potential and a finite S0 are dyadic walks with steps of at
-    most 1/16, so the first slice's source values step by at most 1/8 and its
-    reach is below the stencil (at least 2) on every beta and dt drawn; sums
-    still tie exactly.  The optional random window gives target strips past
-    the source slice, which keep the full stencil."""
+    the tabulated potential and the finite cells of S0 are dyadic walks with
+    steps of at most 1/16, so the first slice's finite source values step by
+    at most 1/8 and their reach is below the stencil (at least 2) on every
+    beta and dt drawn; sums still tie exactly.  S0 is finite, or +inf on a
+    prefix or suffix longer than the stencil.  The optional window, random or
+    shifting by up to the stencil each slice, gives target strips past the
+    source slice's finite run."""
     beta = draw(st.sampled_from([1.5, 2.0, 3.0]))
-    n_x = draw(st.integers(3, 12))
+    inf_run = draw(st.sampled_from(["", "prefix", "suffix"]))
+    n_x = draw(st.integers(3, 12) if not inf_run else st.integers(8, 16))
     n_steps = draw(st.integers(1, 5))
     dt = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    m = draw(st.integers(2, n_x + 3))
+    m = draw(st.integers(2, n_x + 3) if not inf_run else st.integers(2, (n_x - 2) // 2))
     g = GridSpec(x_min=0.0, x_max=0.5 * (n_x - 1), dx=0.5, t1=0.0,
                  t2=dt * n_steps, dt=dt, v_max=(m + 0.5) * 0.5 / dt)
     vals = np.array([_dyadic_walk(draw, n_x, 1.0) for _ in range(n_steps + 2)])
     U = _tabulated_field(g, vals, 2.0)
-    g = _draw_window(draw, g)
+    window = draw(st.sampled_from(["random", "shifting"] if not inf_run
+                                  else ["", "shifting"]))
+    if window == "random":
+        g = _draw_window(draw, g)
+    elif window == "shifting":
+        g = _draw_shifting_window(draw, g, m + 2 if inf_run else 1)
     lo0, hi0 = g.slice_range(0)
     S0 = _dyadic_walk(draw, hi0 - lo0 + 1, float(draw(st.integers(-3, 3))))
+    if inf_run:
+        n_inf = draw(st.integers(m + 1, len(S0) - 1))
+        S0[:n_inf if inf_run == "prefix" else -n_inf] = np.inf
     return U, g, ModelParams(beta=beta, C=2.0), S0
 
 
@@ -304,21 +327,22 @@ def test_solve_dp_backpointers_equal_priority_argmin(instance):
 @settings(max_examples=200, deadline=None)
 @given(smooth_dp_instances())
 def test_solve_dp_pruned_sweep_equals_priority_argmin(instance):
-    """On smooth slices the sweep skips offsets past the certified reach, and
-    values and every offset still equal the full-stencil priority argmin on
-    both relaxation paths."""
+    """On smooth slices the sweep skips offsets past the certified reach of
+    each target's distance from the source run, and skips the targets more
+    than the stencil past it; values and every offset still equal the
+    full-stencil priority argmin on both relaxation paths."""
     U, g, p, S0 = instance
     values, offsets = _priority_argmin_oracle(U, g, S0, p)
-    reach, pruned = minimizer._reach, []
+    run_reach, pruned = minimizer._run_reach, []
 
-    def spy(costs, a, k, out=None):
-        r = reach(costs, a, k, out)
-        pruned.append(r < len(costs) - 1)
-        return r
+    def spy(table, a, k, out):
+        plan = run_reach(table, a, k, out)
+        pruned.append((plan is not None and plan[3] < g.stencil, bool(np.isfinite(a).all())))
+        return plan
 
     saved = minimizer._DP_SCAN_WIDTH
     try:
-        minimizer._reach = spy
+        minimizer._run_reach = spy
         for scan_width in (1, 10 ** 9):
             minimizer._DP_SCAN_WIDTH = scan_width
             try:
@@ -329,8 +353,10 @@ def test_solve_dp_pruned_sweep_equals_priority_argmin(instance):
             assert [o.tolist() for o in tab.offsets] == offsets
     finally:
         minimizer._DP_SCAN_WIDTH = saved
-        minimizer._reach = reach
-    assert pruned[0] and pruned[g.n_steps]   # the first slice prunes on both paths
+        minimizer._run_reach = run_reach
+    # the first slice prunes on both paths, with its +inf run when S0 has one
+    finite = bool(np.isfinite(S0).all())
+    assert pruned[0] == pruned[g.n_steps] == (True, finite)
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,6 +379,29 @@ def test_reach_certifies_skipped_offsets(beta, dt, m, start, steps, scale):
             for s in (-o, o):
                 if 0 <= j + s < len(a):
                     assert a[j + s] + half[o] >= a[j] + half[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(costs=st.lists(st.floats(0.0, 64.0) | st.just(math.inf), min_size=1, max_size=12),
+       Ds=st.lists(st.floats(0.0, 64.0), min_size=1, max_size=6))
+def test_reach_table_is_the_float_test(costs, Ds):
+    """bisect_left(table[d], D) is the largest e with costs[d+e] - costs[d]
+    < e D (1 + 1e-12) in floats, on any cost row (not only convex ones, and
+    with overflowed +inf costs), at each threshold and one float step either
+    side of it."""
+    costs = [0.0] + costs
+    table = minimizer._reach_table(costs)
+    m = len(costs) - 1
+    assert len(table) == m + 1
+    Ds += [float(D) for row in table for t in row[:3]
+           for D in (t, *np.nextafter(t, [-1.0, 1.0])) if 0.0 <= D < math.inf]
+    for d in range(m + 1):
+        for D in Ds:
+            want = max([e for e in range(1, m - d + 1)
+                        if costs[d + e] - costs[d] < e * D * (1.0 + 1e-12)], default=0)
+            assert bisect.bisect_left(table[d], D) == want
+    assert [bisect.bisect_left(table[0], D) for D in Ds] == \
+        [minimizer._reach(costs, np.array([0.0, D]), 0) for D in Ds]
 
 
 def test_reach_pinned_and_non_finite():
@@ -441,6 +490,25 @@ def test_nan_guard_rides_the_reach_in_both_sweeps():
     with pytest.raises(ValueError, match="is not a number") as err:
         solve_dp(zero_potential(), one, np.array([np.nan]), P2)
     assert not isinstance(err.value, DomainError)
+
+
+def test_solve_dp_silences_only_the_source_steps():
+    """The steps of +inf source cells (inf - inf) are taken without a
+    warning, while a warning of the potential's own evaluation reaches the
+    caller, in the same sweep."""
+    g = GridSpec(x_min=-1.0, x_max=1.0, dx=0.5, t1=0.0, t2=1.0, dt=0.5, v_max=2.0)
+    dirac = np.full(5, np.inf)
+    dirac[0] = 0.0
+    quiet = zero_potential()
+    noisy = PotentialField(lambda ts, deriv: lambda x: np.exp(-1.0 / (0.0 * np.abs(x))),
+                           bound=1.0)   # 0 everywhere, after a divide by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = solve_dp(quiet, g, dirac, P2)
+    with pytest.warns(RuntimeWarning, match="divide by zero") as record:
+        tab = solve_dp(noisy, g, dirac, P2)
+    assert all("divide by zero" in str(w.message) for w in record)
+    assert np.array_equal(tab.final_values, expected.final_values)
 
 
 def _block_test_fields():
